@@ -13,12 +13,18 @@ degenerations, which are checked at a single finite lattice point).
 """
 
 import cmath
-import hashlib
 import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, field, replace
+
+try:
+    # CPython's own SHA-256, as the random module does for SHA-512: hashlib
+    # would map OpenSSL (about 3.5 MB resident) for one digest per draw
+    from _sha256 import sha256
+except ImportError:  # renamed _sha2 in Python 3.12
+    from hashlib import sha256
 
 from .errors import QHyperError, SamplerExhausted
 from .qcore import QContext, qpoch_finite, qpoch_infinite, theta
@@ -46,12 +52,11 @@ from .operators import (
     residual,
 )
 from .series import (
+    Factor,
     KajiharaParams,
     QALParams,
+    ShellSpec,
     W_normalized,
-    _BinomPowers,
-    _Powers,
-    _RunningPoch,
     _delta,
     bilateral_psi,
     degene_solution,
@@ -74,7 +79,7 @@ def default_context():
 
 
 def _rng_for(case_id, seed, M):
-    digest = hashlib.sha256(f"{case_id}:{seed}:{M}".encode()).digest()
+    digest = sha256(f"{case_id}:{seed}:{M}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -1550,32 +1555,18 @@ def _kphid_lhs(p, ctx):
         pref *= qpoch_infinite(c * xs[i] / xM, ctx) / qpoch_infinite(
             (c / a[i]) * xs[i] / xM, ctx
         )
-    dden = _delta(xs)
-    qpow = _Powers(q)
-    upow = _Powers(u)
-    pax = [[_RunningPoch(a[j] * xs[i] / xs[j], q) for j in range(M)] for i in range(M)]
-    pqx = [[_RunningPoch(q * xs[i] / xs[j], q) for j in range(M)] for i in range(M)]
-    pb = [_RunningPoch(b * xs[i] / xM, q) for i in range(M)]
-    pc = [_RunningPoch(c * xs[i] / xM, q) for i in range(M)]
-
-    def dnum(l):
-        if M == 1:
-            return 1.0 + 0.0j
-        return _delta([xs[i] * qpow(l[i]) for i in range(M)])
-
-    def term(l):
-        t = upow(sum(l)) * dnum(l) / dden
-        for i in range(M):
-            li = l[i]
-            num = pb[i](li)
-            den = pc[i](li)
-            for j in range(M):
-                num *= pax[i][j](li)
-                den *= pqx[i][j](li)
-            t *= num / den
-        return t
-
-    return pref * sum_shells(term, M, ctx).require()
+    spec = ShellSpec(
+        Factor(w=u),
+        dirs=tuple(
+            Factor(
+                a=(b * xi / xM,) + tuple(a[j] * xi / xs[j] for j in range(M)),
+                b=(c * xi / xM,) + tuple(q * xi / xj for xj in xs),
+            )
+            for xi in xs
+        ),
+        y=tuple(xs),
+    )
+    return pref * sum_shells(spec, M, ctx).require()
 
 
 def _kphid_rhs(p, ctx):
@@ -1612,32 +1603,15 @@ def _gen1_lhs(p, ctx):
     M = len(b)
     z0 = math.prod(a) * x / math.prod(b)
     pref = qpoch_infinite(z0, ctx) / qpoch_infinite(x, ctx)
-    dden = _delta(list(b))
-    qpow = _Powers(q)
-    zpow = _Powers(z0)
-    pba = [[_RunningPoch(b[i] / a[j], q) for j in range(M + 1)] for i in range(M)]
-    pbb = [[_RunningPoch(q * b[i] / b[j], q) for j in range(M)] for i in range(M)]
-    pb = [_RunningPoch(b[i], q) for i in range(M)]
-
-    def dnum(l):
-        if M == 1:
-            return 1.0 + 0.0j
-        return _delta([b[i] * qpow(l[i]) for i in range(M)])
-
-    def term(l):
-        t = zpow(sum(l)) * dnum(l) / dden
-        for i in range(M):
-            li = l[i]
-            num = 1.0 + 0.0j
-            for j in range(M + 1):
-                num *= pba[i][j](li)
-            den = pb[i](li)
-            for j in range(M):
-                den *= pbb[i][j](li)
-            t *= num / den
-        return t
-
-    return pref * sum_shells(term, M, ctx).require()
+    spec = ShellSpec(
+        Factor(w=z0),
+        dirs=tuple(
+            Factor(a=tuple(bi / aj for aj in a), b=(bi,) + tuple(q * bi / bj for bj in b))
+            for bi in b
+        ),
+        y=tuple(b),
+    )
+    return pref * sum_shells(spec, M, ctx).require()
 
 
 def _gen_rhs(p, ctx):
@@ -1662,37 +1636,20 @@ def _gen2_lhs(p, ctx):
     aM1 = a[M]
     z1 = -math.prod(a) * x / (aM1 * math.prod(b))
     pref = qpoch_infinite(aM1 * x, ctx) / qpoch_infinite(x, ctx)
-    dden = _delta(list(b))
-    qpow = _Powers(q)
-    qbin = _BinomPowers(q)
-    zpow = _Powers(z1)
-    paM = _RunningPoch(aM1, q)
-    paMx = _RunningPoch(aM1 * x, q)
-    pba = [[_RunningPoch(b[i] / a[j], q) for j in range(M)] for i in range(M)]
-    pbb = [[_RunningPoch(q * b[i] / b[j], q) for j in range(M)] for i in range(M)]
-    pb = [_RunningPoch(b[i], q) for i in range(M)]
-    bpow = [_Powers(b[i]) for i in range(M)]
-
-    def dnum(l):
-        if M == 1:
-            return 1.0 + 0.0j
-        return _delta([b[i] * qpow(l[i]) for i in range(M)])
-
-    def term(l):
-        s = sum(l)
-        t = zpow(s) * dnum(l) / dden * paM(s) / paMx(s)
-        for i in range(M):
-            li = l[i]
-            num = bpow[i](li) * qbin(li)
-            for j in range(M):
-                num *= pba[i][j](li)
-            den = pb[i](li)
-            for j in range(M):
-                den *= pbb[i][j](li)
-            t *= num / den
-        return t
-
-    return pref * sum_shells(term, M, ctx).require()
+    spec = ShellSpec(
+        Factor(w=z1, a=(aM1,), b=(aM1 * x,)),
+        dirs=tuple(
+            Factor(
+                w=bi,
+                e=1,
+                a=tuple(bi / aj for aj in a[:M]),
+                b=(bi,) + tuple(q * bi / bj for bj in b),
+            )
+            for bi in b
+        ),
+        y=tuple(b),
+    )
+    return pref * sum_shells(spec, M, ctx).require()
 
 
 def _heine_propose(rng, M, ctx):
@@ -1939,41 +1896,24 @@ def _serlim_rhs(p, ctx):
     qlp1 = qlam * q
     aM2 = a[M + 1]
     kappa = qlp1 / aM2
-    z0 = -q * a[M] / aM2
-    dden = _delta(list(a[:M]))
-    qpow = _Powers(q)
-    qbin = _BinomPowers(q)
-    zpow = _Powers(z0)
-    plam = _RunningPoch(qlp1, q)
-    plb = [_RunningPoch(qlam * q * q * bj / aM2, q) for bj in b]
-    pka = [_RunningPoch(kappa * a[i], q) for i in range(M)]
-    pab = [[_RunningPoch(a[i] / bj, q) for bj in b] for i in range(M)]
-    paa = [[_RunningPoch(q * a[i] / a[j], q) for j in range(M)] for i in range(M)]
-    paM2 = [_RunningPoch(q * a[i] / aM2, q) for i in range(M)]
-
-    def dnum(l):
-        if M == 1:
-            return 1.0 + 0.0j
-        return _delta([a[i] * qpow(l[i]) for i in range(M)])
-
-    def term(l):
-        s = sum(l)
-        t = zpow(s) * qbin(s) * dnum(l) / dden * plam(s)
-        for j in range(M + 2):
-            t /= plb[j](s)
-        for i in range(M):
-            li = l[i]
-            mu = kappa * a[i]
-            num = (1.0 - mu * qpow(s + li)) / (1.0 - mu) * pka[i](s)
-            for j in range(M + 2):
-                num *= pab[i][j](li)
-            den = paM2[i](li)
-            for j in range(M):
-                den *= paa[i][j](li)
-            t *= num / den
-        return t
-
-    return sum_shells(term, M, ctx).require()
+    spec = ShellSpec(
+        Factor(
+            w=-q * a[M] / aM2,
+            e=1,
+            a=(qlp1,) + tuple(kappa * ai for ai in a[:M]),
+            b=tuple(qlam * q * q * bj / aM2 for bj in b),
+        ),
+        dirs=tuple(
+            Factor(
+                a=tuple(a[i] / bj for bj in b),
+                b=(q * a[i] / aM2,) + tuple(q * a[i] / a[j] for j in range(M)),
+            )
+            for i in range(M)
+        ),
+        y=tuple(a[:M]),
+        mu=tuple(kappa * ai for ai in a[:M]),
+    )
+    return sum_shells(spec, M, ctx).require()
 
 
 # ----------------------------------------------------------------- catalog

@@ -2,21 +2,34 @@
 
 Everything here is a sum over multi-indices l in Z_{>=0}^M, evaluated shell by
 shell (|l| = 0, 1, 2, ...) so that truncation decisions depend only on the
-total degree, never on the enumeration order inside a shell.  Term callables
-keep incremental caches of the q-shifted factorials they need, which makes the
-cost per term O(M^2) instead of O(M^2 |l|).
+total degree, never on the enumeration order inside a shell.
+
+Every series in the package has terms of one shape, described by a ShellSpec:
+a factor in the shell degree s = |l|, the Vandermonde ratio
+Delta(y q^l)/Delta(y), optional very-well-poised factors and one factor per
+direction l_i.  sum_shells evaluates a spec a block of shells at a time as
+numpy arrays: each factor is a table over its index, extended incrementally
+by the recurrence of its q-shifted factorials, and the terms of a block are
+gathered from the tables through cached composition arrays.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NoConvergence, NonFinite, TermEvaluationError
 from .qcore import QContext, qpoch_infinite
 
 _TERMINATE_TOL = 1e-12
+# A block of shells holds at least this many terms; the target doubles from
+# block to block up to the maximum, so short sums stay cheap and deep sums run
+# in large blocks.
+_BLOCK_MIN_TERMS = 32
+_BLOCK_MAX_TERMS = 4096
 
 
 @dataclass
@@ -58,65 +71,136 @@ class QALParams:
     x: tuple
 
 
-class _RunningPoch:
-    """(a; q)_l extended on demand; callers ask for increasing l."""
+@dataclass(frozen=True)
+class Factor:
+    """w^n q^(e C(n,2)) prod_k (a_k; q)_n / prod_k (b_k; q)_n in one index n.
 
-    __slots__ = ("q", "vals", "_aq")
+    With a cap the factor is identically zero for n > cap (a numerator
+    (q^-cap; q)_n that the caller knows about).
+    """
 
-    def __init__(self, a, q):
-        self.q = q
-        self.vals = [1.0 + 0.0j]
-        self._aq = complex(a)
-
-    def __call__(self, l):
-        v = self.vals
-        while len(v) <= l:
-            v.append(v[-1] * (1.0 - self._aq))
-            self._aq *= self.q
-        return v[l]
+    w: complex = 1.0
+    e: int = 0
+    a: tuple = ()
+    b: tuple = ()
+    cap: int | None = None
 
 
-class _Powers:
-    """base**n with an append-only cache."""
+@dataclass(frozen=True)
+class ShellSpec:
+    """Term of an M-fold shell sum, s = |l|:
 
-    __slots__ = ("base", "vals")
+        shell(s + offset) * Delta(y q^l) / Delta(y)
+            * prod_i (1 - mu_i q^(s + l_i)) / (1 - mu_i) * prod_i dirs[i](l_i)
 
-    def __init__(self, base):
-        self.base = complex(base)
-        self.vals = [1.0 + 0.0j]
+    An empty y drops the Vandermonde ratio, an empty mu the very-well-poised
+    factors and an empty dirs the per-direction factors.  offset shifts the
+    shell factor's index (the negative half of a bilateral series starts at
+    degree 1).
+    """
 
-    def __call__(self, n):
-        v = self.vals
-        while len(v) <= n:
-            v.append(v[-1] * self.base)
-        return v[n]
-
-
-class _BinomPowers:
-    """q**C(n,2) with an append-only cache."""
-
-    __slots__ = ("q", "vals", "_step")
-
-    def __init__(self, q):
-        self.q = complex(q)
-        self.vals = [1.0 + 0.0j]
-        self._step = 1.0 + 0.0j  # q**(n-1) when extending to index n
-
-    def __call__(self, n):
-        v = self.vals
-        while len(v) <= n:
-            v.append(v[-1] * self._step)
-            self._step *= self.q
-        return v[n]
+    shell: Factor = Factor()
+    dirs: tuple = ()
+    y: tuple = ()
+    mu: tuple = ()
+    offset: int = 0
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+class _Tables:
+    """Values of several Factors at n = 0, 1, ..., grown together on demand.
+
+    vals[f, n] is factor f at n.  An extension continues, from the carried
+    last values, the recurrences of the q-shifted factorials:
+    a q^n = (a q^(n-1)) q and (a; q)_(n+1) = (a; q)_n (1 - a q^n), with w^n
+    and q^(e C(n,2)) stepped the same way, so nothing is ever recomputed.
+    All factors share one grid of rows that step by a constant ratio: per
+    factor a numerator segment (w, then q^(e n) if e, then a_k q^n) and a
+    denominator segment (a row of ones, then b_k q^n).  bad[f] is the first
+    n at which factor f divided by a vanishing factor.
+    """
+
+    __slots__ = ("vals", "n", "bad", "_cap", "_row", "_ratio", "_poch", "_segs")
+
+    def __init__(self, factors, q):
+        q = complex(q)
+        row, ratio, poch, segs = [], [], [], []
+
+        def add(start, step):
+            row.append(start)
+            ratio.append(step)
+
+        for f in factors:
+            segs.append(len(row))  # numerator: w^n, q^(e n), then 1 - a_k q^n
+            add(f.w, 1.0)
+            if f.e:
+                add(1.0, q ** f.e)
+            poch += range(len(row), len(row) + len(f.a))
+            for c in f.a:
+                add(c, q)
+            segs.append(len(row))  # denominator: a row of ones, then 1 - b_k q^n
+            add(1.0, 1.0)
+            poch += range(len(row), len(row) + len(f.b))
+            for c in f.b:
+                add(c, q)
+        self._row = np.array(row, complex)  # value of each row at the last step
+        self._ratio = np.array(ratio, complex)
+        self._poch = np.array(poch, np.intp)  # rows that enter as 1 - a q^n
+        self._segs = np.array(segs, np.intp)
+        self._cap = [f.cap for f in factors]
+        self.vals = np.ones((len(factors), 1), complex)
+        self.n = 1
+        self.bad = [math.inf] * len(factors)
+
+    def upto(self, n):
+        """The tables, valid at least at indices 0..n-1."""
+        if n > self.n:
+            self._extend(n)
+        return self.vals
+
+    def _extend(self, n):
+        lo, count = self.n, n - self.n  # steps lo-1 .. n-2 give vals[:, lo:n]
+        if n > self.vals.shape[1]:
+            grown = np.empty((len(self.vals), max(n, 2 * self.vals.shape[1])), complex)
+            grown[:, :lo] = self.vals[:, :lo]
+            self.vals = grown
+        grid = np.empty((len(self._row), count), complex)
+        grid[:, 0] = self._row
+        grid[:, 1:] = self._ratio[:, None]
+        np.cumprod(grid, axis=1, out=grid)
+        self._row = grid[:, -1] * self._ratio
+        grid[self._poch] = 1.0 - grid[self._poch]
+        prods = np.multiply.reduceat(grid, self._segs, axis=0)
+        den = prods[1::2]
+        if not den.all():
+            for f, j in zip(*np.nonzero(den == 0)):
+                cap = self._cap[f]
+                if cap is None or lo + j <= cap:
+                    self.bad[f] = min(self.bad[f], lo + int(j))
+        steps = np.empty((len(self.vals), count + 1), complex)
+        steps[:, 0] = self.vals[:, lo - 1]
+        np.divide(prods[0::2], den, out=steps[:, 1:])
+        np.cumprod(steps, axis=1, out=steps)
+        self.vals[:, lo:n] = steps[:, 1:]
+        for f, cap in enumerate(self._cap):
+            if cap is not None and cap + 1 < n:
+                self.vals[f, max(cap + 1, lo):n] = 0.0
+        self.n = n
+
+
+@functools.lru_cache(maxsize=1024)
+def _compositions(M, s):
+    """All l in Z_{>=0}^M with |l| = s as an int16 array, one row per l, in
+    lexicographic order."""
+    if M == 1:
+        comps = np.array([[s]], np.int16)
+    else:
+        comps = np.concatenate([
+            np.column_stack((np.full(math.comb(s - h + M - 2, M - 2), h, np.int16),
+                             _compositions(M - 1, s - h)))
+            for h in range(s + 1)
+        ])
+    comps.flags.writeable = False
+    return comps
 
 
 def terminating_order(a, ctx: QContext, nmax=None):
@@ -141,31 +225,28 @@ def terminating_order(a, ctx: QContext, nmax=None):
 def sum_shells(term, M: int, ctx: QContext, shell_cap=None, exact=False) -> SeriesResult:
     """Sum term(l) over l in Z_{>=0}^M by shells of constant |l|.
 
-    Stops after ctx.stall_window consecutive shells whose magnitude is below
+    term is a ShellSpec or a callable taking the tuple l.  Stops after
+    ctx.stall_window consecutive shells whose magnitude is below
     ctx.rel_tol * max(1, |partial|), or at the cap.  With exact=True the cap
     is a known terminating degree and the truncated sum is the exact value.
+    Shells computed ahead of the stop are never checked and never raise.
     """
     cap = ctx.series_shell_cap if shell_cap is None else shell_cap
+    if isinstance(term, ShellSpec):
+        shells = _spec_shells(term, M, ctx.q, cap)
+    else:
+        shells = _callable_shells(term, M)
     partial = 0.0 + 0.0j
     stall = 0
     last_mag = 0.0
-    shells = 0
+    used = 0
     converged = False
-    for s in range(cap + 1):
-        shell = 0.0 + 0.0j
-        for l in _compositions(s, M):
-            try:
-                t = complex(term(l))
-            except (ZeroDivisionError, OverflowError, ValueError) as exc:
-                raise TermEvaluationError(f"term failed at l={l}: {exc}") from exc
-            if not (math.isfinite(t.real) and math.isfinite(t.imag)):
-                raise NonFinite(f"non-finite term at l={l}")
-            shell += t
+    for s, shell in zip(range(cap + 1), shells):
         partial += shell
         if not (math.isfinite(partial.real) and math.isfinite(partial.imag)):
             raise NonFinite(f"non-finite partial sum at shell {s}")
         last_mag = abs(shell)
-        shells = s + 1
+        used = s + 1
         if last_mag <= ctx.rel_tol * max(1.0, abs(partial)):
             stall += 1
             if stall >= ctx.stall_window:
@@ -175,79 +256,152 @@ def sum_shells(term, M: int, ctx: QContext, shell_cap=None, exact=False) -> Seri
             stall = 0
     if exact:
         converged = True
-    return SeriesResult(partial, shells, converged, last_mag)
+    return SeriesResult(partial, used, converged, last_mag)
+
+
+def _callable_shells(term, M):
+    s = 0
+    while True:
+        shell = 0.0 + 0.0j
+        for l in _compositions(M, s).tolist():
+            l = tuple(l)
+            try:
+                t = complex(term(l))
+            except (ZeroDivisionError, OverflowError, ValueError) as exc:
+                raise TermEvaluationError(f"term failed at l={l}: {exc}") from exc
+            if not (math.isfinite(t.real) and math.isfinite(t.imag)):
+                raise NonFinite(f"non-finite term at l={l}")
+            shell += t
+        yield shell
+        s += 1
+
+
+def _spec_shells(spec: ShellSpec, M, q, cap):
+    """Shell sums of a spec, computed a block of shells at a time."""
+    for part in (spec.dirs, spec.y, spec.mu):
+        if part and len(part) != M:
+            raise DomainError(f"ShellSpec parts must have M = {M} entries, got {len(part)}")
+    y = [complex(t) for t in spec.y] if M > 1 else []
+    mu = [complex(t) for t in spec.mu]
+    factors = [spec.shell, *spec.dirs]
+    if y or mu:
+        factors.append(Factor(w=q))  # q^n, for q^(l_i) and q^(s + l_i)
+    reach = 2 if y or mu else 1
+    tables = _Tables(factors, q)
+    scale = 1.0 + 0.0j
+    if y:
+        scale *= _delta(y)
+    for m in mu:
+        scale *= 1.0 - m
+    zero_den = scale == 0
+    if not zero_den:
+        scale = 1.0 / scale
+    s0, target = 0, _BLOCK_MIN_TERMS
+    while s0 <= cap:
+        s1, count = s0, 0
+        while count < target and s1 <= cap:
+            count += math.comb(s1 + M - 1, M - 1)
+            s1 += 1
+        if M == 1:
+            S = np.arange(s0, s1)
+            L = S[:, None]
+            starts = np.arange(s1 - s0)
+        else:
+            blocks = [_compositions(M, s) for s in range(s0, s1)]
+            L = np.concatenate(blocks)
+            sizes = [len(b) for b in blocks]
+            S = np.repeat(np.arange(s0, s1), sizes)
+            starts = np.cumsum([0] + sizes[:-1])
+        with np.errstate(all="ignore"):
+            vals = tables.upto(max(s1 + spec.offset, reach * s1))
+            t = vals[0][S + spec.offset]
+            for i in range(len(spec.dirs)):
+                t *= vals[1 + i][L[:, i]]
+            if y:
+                Y = [y[i] * vals[-1][L[:, i]] for i in range(M)]
+                for i in range(M):
+                    for j in range(i + 1, M):
+                        t *= Y[i] - Y[j]
+            for i, m in enumerate(mu):
+                t *= 1.0 - m * vals[-1][S + L[:, i]]
+            sums = np.add.reduceat(t, starts) * scale
+        finite = np.isfinite(sums)
+        for k, value in enumerate(sums.tolist()):
+            if zero_den or not finite[k]:
+                lo = starts[k]
+                hi = starts[k + 1] if k + 1 < len(starts) else len(t)
+                _raise_bad_term(t[lo:hi], L[lo:hi], s0 + k + spec.offset, tables.bad, zero_den)
+            yield value
+        s0 = s1
+        target = min(2 * target, _BLOCK_MAX_TERMS)
+
+
+def _raise_bad_term(terms, ls, shell_index, bad, zero_den):
+    """Raise for the first bad term of a shell whose sum is not finite.
+
+    bad holds the first index at which each table divided by zero: the shell
+    factor's, then one per direction (a trailing q^n table never does).
+    """
+    nonfinite = np.flatnonzero(~np.isfinite(terms))
+    if not len(nonfinite) and not zero_den:
+        return  # finite terms whose sum overflowed: the partial-sum check raises
+    l = tuple(ls[nonfinite[0] if len(nonfinite) else 0].tolist())
+    if zero_den or any(b <= n for b, n in zip(bad, (shell_index,) + l)):
+        raise TermEvaluationError(f"term failed at l={l}: zero denominator")
+    raise NonFinite(f"non-finite term at l={l}")
+
+
+def _delta(xs):
+    prod = 1.0 + 0.0j
+    n = len(xs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            prod *= xs[i] - xs[j]
+    return prod
+
+
+def _sum_spec(spec, M, ctx, cap):
+    """Sum a spec, exactly up to a terminating degree cap when one is known."""
+    if cap is not None:
+        return sum_shells(spec, M, ctx, shell_cap=cap, exact=True)
+    return sum_shells(spec, M, ctx)
+
+
+def _min_order(params, ctx):
+    """Smallest terminating order among params, or None."""
+    orders = [terminating_order(c, ctx) for c in params]
+    orders = [n for n in orders if n is not None]
+    return min(orders) if orders else None
 
 
 def rphis(upper, lower, z, ctx: QContext) -> SeriesResult:
     """r_phi_s basic hypergeometric series with the ((-1)^l q^C(l,2))^{1+s-r} factor."""
-    upper = [complex(u) for u in upper]
-    lower = [complex(d) for d in lower]
-    r, s = len(upper), len(lower)
-    excess = 1 + s - r
-    torders = [terminating_order(u, ctx) for u in upper]
-    torders = [n for n in torders if n is not None]
-    nterm = min(torders) if torders else None
+    upper = tuple(complex(u) for u in upper)
+    lower = tuple(complex(d) for d in lower)
+    excess = 1 + len(lower) - len(upper)
+    nterm = _min_order(upper, ctx)
     if nterm is None:
         if excess < 0:
             raise DomainError("r > s+1 series diverges unless terminating")
         if excess == 0 and abs(z) >= 1:
             raise DomainError(f"need |z| < 1 for r = s+1, got {abs(z)}")
-    ups = [_RunningPoch(u, ctx.q) for u in upper]
-    lows = [_RunningPoch(d, ctx.q) for d in lower]
-    qfac = _RunningPoch(ctx.q, ctx.q)
-    zpow = _Powers(z)
-    sign = _Powers(-1.0)
-    qbin = _BinomPowers(ctx.q)
-
-    def term(lv):
-        l = lv[0]
-        num = 1.0 + 0.0j
-        for p in ups:
-            num *= p(l)
-        den = qfac(l)
-        for p in lows:
-            den *= p(l)
-        t = num / den * zpow(l)
-        if excess:
-            t *= (sign(l) * qbin(l)) ** excess
-        return t
-
-    if nterm is not None:
-        return sum_shells(term, 1, ctx, shell_cap=nterm, exact=True)
-    return sum_shells(term, 1, ctx)
+    w = -complex(z) if excess % 2 else complex(z)
+    spec = ShellSpec(Factor(w=w, e=excess, a=upper, b=(ctx.q,) + lower))
+    return _sum_spec(spec, 1, ctx, nterm)
 
 
 def vwp_W(a1, rest, z, ctx: QContext) -> SeriesResult:
     """Very-well-poised (r+1)W_r(a1; rest...; z) with len(rest) = r - 2."""
     a1 = complex(a1)
-    rest = [complex(c) for c in rest]
+    rest = tuple(complex(c) for c in rest)
     if a1 == 1.0:
         raise DomainError("vwp_W needs a1 != 1")
-    torders = [terminating_order(c, ctx) for c in [a1] + rest]
-    torders = [n for n in torders if n is not None]
-    nterm = min(torders) if torders else None
+    nterm = _min_order((a1,) + rest, ctx)
     if nterm is None and abs(z) >= 1:
         raise DomainError(f"need |z| < 1 for non-terminating vwp_W, got {abs(z)}")
-    pa = _RunningPoch(a1, ctx.q)
-    ups = [_RunningPoch(c, ctx.q) for c in rest]
-    qfac = _RunningPoch(ctx.q, ctx.q)
-    lows = [_RunningPoch(ctx.q * a1 / c, ctx.q) for c in rest]
-    zpow = _Powers(z)
-    q2pow = _Powers(ctx.q * ctx.q)
-
-    def term(lv):
-        l = lv[0]
-        t = (1.0 - a1 * q2pow(l)) / (1.0 - a1) * pa(l) * zpow(l)
-        for p in ups:
-            t *= p(l)
-        den = qfac(l)
-        for p in lows:
-            den *= p(l)
-        return t / den
-
-    if nterm is not None:
-        return sum_shells(term, 1, ctx, shell_cap=nterm, exact=True)
-    return sum_shells(term, 1, ctx)
+    q = ctx.q
+    shell = Factor(w=z, a=(a1,) + rest, b=(q,) + tuple(q * a1 / c for c in rest))
+    return _sum_spec(ShellSpec(shell, mu=(a1,)), 1, ctx, nterm)
 
 
 def bilateral_psi(upper, lower, z, ctx: QContext) -> SeriesResult:
@@ -258,21 +412,16 @@ def bilateral_psi(upper, lower, z, ctx: QContext) -> SeriesResult:
     |prod(lower)/prod(upper)| < |z| < 1 is enforced per side unless that side
     terminates identically.
     """
-    upper = [complex(c) for c in upper]
-    lower = [complex(d) for d in lower]
+    upper = tuple(complex(c) for c in upper)
+    lower = tuple(complex(d) for d in lower)
     if len(upper) != len(lower):
         raise DomainError("bilateral_psi needs equal parameter counts")
     z = complex(z)
+    q = ctx.q
     cprod = math.prod(abs(c) for c in upper)
     dprod = math.prod(abs(d) for d in lower)
-
-    pos_orders = [terminating_order(c, ctx) for c in upper]
-    pos_orders = [n for n in pos_orders if n is not None]
-    pos_term = min(pos_orders) if pos_orders else None
-    neg_orders = [terminating_order(ctx.q / d, ctx) for d in lower if d != 0]
-    neg_orders = [n for n in neg_orders if n is not None]
-    neg_term = min(neg_orders) if neg_orders else None
-
+    pos_term = _min_order(upper, ctx)
+    neg_term = _min_order([q / d for d in lower if d != 0], ctx)
     if pos_term is None and abs(z) >= 1:
         raise DomainError(f"bilateral_psi needs |z| < 1, got {abs(z)}")
     if neg_term is None and cprod > 0 and dprod / cprod >= abs(z):
@@ -281,65 +430,25 @@ def bilateral_psi(upper, lower, z, ctx: QContext) -> SeriesResult:
             f"{dprod / cprod} >= |z| = {abs(z)}"
         )
 
-    ups = [_RunningPoch(c, ctx.q) for c in upper]
-    lows = [_RunningPoch(d, ctx.q) for d in lower]
-    zpow = _Powers(z)
-
-    def pos(lv):
-        l = lv[0]
-        num = 1.0 + 0.0j
-        for p in ups:
-            num *= p(l)
-        den = 1.0 + 0.0j
-        for p in lows:
-            den *= p(l)
-        return num / den * zpow(l)
-
-    w = 1.0 + 0.0j
-    for c, d in zip(upper, lower):
-        w *= d / c
-    w /= z
-    inv_ups = [_RunningPoch(ctx.q / d, ctx.q) for d in lower]
-    inv_lows = [_RunningPoch(ctx.q / c, ctx.q) for c in upper]
-    wpow = _Powers(w)
-
-    def neg(lv):
-        m = lv[0] + 1  # negative side starts at l = -1
-        num = 1.0 + 0.0j
-        for p in inv_ups:
-            num *= p(m)
-        den = 1.0 + 0.0j
-        for p in inv_lows:
-            den *= p(m)
-        return num / den * wpow(m)
-
-    if pos_term is not None:
-        rp = sum_shells(pos, 1, ctx, shell_cap=pos_term, exact=True)
+    rp = _sum_spec(ShellSpec(Factor(w=z, a=upper, b=lower)), 1, ctx, pos_term)
+    if neg_term == 0:
+        # (q/d)_m vanishes for every m >= 1
+        rn = SeriesResult(0.0 + 0.0j, 0, True, 0.0)
     else:
-        rp = sum_shells(pos, 1, ctx)
-    if neg_term is not None:
-        # (q/d)_m kills m > neg_term; m = shell index + 1
-        cap = max(neg_term - 1, 0)
-        rn = sum_shells(neg, 1, ctx, shell_cap=cap, exact=True)
-        if neg_term == 0:
-            rn = SeriesResult(0.0 + 0.0j, 0, True, 0.0)
-    else:
-        rn = sum_shells(neg, 1, ctx)
+        w = 1.0 + 0.0j
+        for c, d in zip(upper, lower):
+            w *= d / c
+        w /= z
+        # the negative side starts at l = -1: shell s holds m = s + 1
+        neg = Factor(w=w, a=tuple(q / d for d in lower), b=tuple(q / c for c in upper))
+        neg_cap = None if neg_term is None else neg_term - 1
+        rn = _sum_spec(ShellSpec(neg, offset=1), 1, ctx, neg_cap)
     return SeriesResult(
         rp.value + rn.value,
         rp.shells_used + rn.shells_used,
         rp.converged and rn.converged,
         max(rp.last_shell_magnitude, rn.last_shell_magnitude),
     )
-
-
-def _delta(xs):
-    prod = 1.0 + 0.0j
-    n = len(xs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            prod *= xs[i] - xs[j]
-    return prod
 
 
 def kajihara_W(p: KajiharaParams, ctx: QContext) -> SeriesResult:
@@ -352,19 +461,12 @@ def kajihara_W(p: KajiharaParams, ctx: QContext) -> SeriesResult:
     x = [complex(v) for v in p.x]
     a = complex(p.a)
     u = [complex(v) for v in p.u]
-    v = [complex(t) for t in p.v]
+    v = tuple(complex(t) for t in p.v)
     z = complex(p.z)
 
-    vorders = [terminating_order(vk, ctx) for vk in v]
-    vorders = [n for n in vorders if n is not None]
-    nglob = min(vorders) if vorders else None
     # per-direction termination from (x_i u_j)_{l_i}
-    dir_caps = []
-    for xi in x:
-        orders = [terminating_order(xi * uj, ctx) for uj in u]
-        orders = [n for n in orders if n is not None]
-        dir_caps.append(min(orders) if orders else None)
-    cap = nglob
+    dir_caps = [_min_order([xi * uj for uj in u], ctx) for xi in x]
+    cap = _min_order(v, ctx)
     if all(c is not None for c in dir_caps):
         total = sum(dir_caps)
         cap = total if cap is None else min(cap, total)
@@ -375,47 +477,20 @@ def kajihara_W(p: KajiharaParams, ctx: QContext) -> SeriesResult:
         if abs(1.0 - a * xi) == 0:
             raise DomainError("kajihara_W pole: a x_i = 1")
 
-    pu = [[_RunningPoch(xi * uj, q) for uj in u] for xi in x]
-    pxx = [[_RunningPoch(q * xi / xj, q) for xj in x] for xi in x]
-    pv = [[_RunningPoch(a * q * xi / vk, q) for vk in v] for xi in x]
-    pax = [_RunningPoch(a * xi, q) for xi in x]
-    pvv = [_RunningPoch(vk, q) for vk in v]
-    pau = [_RunningPoch(a * q / uj, q) for uj in u]
-    qpow = _Powers(q)
-    zpow = _Powers(z)
-    dden = _delta(x)
-
-    def term(l):
-        s = sum(l)
-        for i in range(M):
-            if dir_caps[i] is not None and l[i] > dir_caps[i]:
-                return 0.0  # a (x_i u_j)_{l_i} factor vanishes identically
-        if M == 1:
-            dnum = 1.0 + 0.0j
-        else:
-            shifted = [x[i] * qpow(l[i]) for i in range(M)]
-            dnum = _delta(shifted)
-        t = zpow(s) * dnum / dden
-        for k in range(N):
-            t *= pvv[k](s)
-        for j in range(M + N):
-            t /= pau[j](s)
-        for i in range(M):
-            li = l[i]
-            num = (1.0 - a * x[i] * qpow(s + li)) / (1.0 - a * x[i]) * pax[i](s)
-            for j in range(M + N):
-                num *= pu[i][j](li)
-            den = 1.0 + 0.0j
-            for j in range(M):
-                den *= pxx[i][j](li)
-            for k in range(N):
-                den *= pv[i][k](li)
-            t *= num / den
-        return t
-
-    if cap is not None:
-        return sum_shells(term, M, ctx, shell_cap=cap, exact=True)
-    return sum_shells(term, M, ctx)
+    spec = ShellSpec(
+        Factor(w=z, a=v + tuple(a * xi for xi in x), b=tuple(a * q / uj for uj in u)),
+        dirs=tuple(
+            Factor(
+                a=tuple(xi * uj for uj in u),
+                b=tuple(q * xi / xj for xj in x) + tuple(a * q * xi / vk for vk in v),
+                cap=ci,
+            )
+            for xi, ci in zip(x, dir_caps)
+        ),
+        y=tuple(x),
+        mu=tuple(a * xi for xi in x),
+    )
+    return _sum_spec(spec, M, ctx, cap)
 
 
 def W_normalized(bp, ctx: QContext) -> SeriesResult:
@@ -470,20 +545,11 @@ def phi_D(p: QALParams, ctx: QContext) -> SeriesResult:
     for xi in p.x:
         if abs(xi) >= 1:
             raise DomainError(f"phi_D needs |x_i| < 1, got {abs(xi)}")
-    pA = _RunningPoch(p.A, ctx.q)
-    pC = _RunningPoch(p.C, ctx.q)
-    pB = [_RunningPoch(bi, ctx.q) for bi in p.B]
-    qf = [_RunningPoch(ctx.q, ctx.q) for _ in range(M)]
-    xpow = [_Powers(xi) for xi in p.x]
-
-    def term(l):
-        s = sum(l)
-        t = pA(s) / pC(s)
-        for i in range(M):
-            t *= pB[i](l[i]) / qf[i](l[i]) * xpow[i](l[i])
-        return t
-
-    return sum_shells(term, M, ctx)
+    spec = ShellSpec(
+        Factor(a=(p.A,), b=(p.C,)),
+        dirs=tuple(Factor(w=xi, a=(bi,), b=(ctx.q,)) for bi, xi in zip(p.B, p.x)),
+    )
+    return sum_shells(spec, M, ctx)
 
 
 def qal_solution(k: int, p: QALParams, ctx: QContext) -> SeriesResult:
@@ -499,100 +565,47 @@ def qal_solution(k: int, p: QALParams, ctx: QContext) -> SeriesResult:
     xs = [complex(t) for t in p.x]
     Bprod = math.prod(Bs)
     ys = [Bs[i] * xs[i] for i in range(M)]
-    dden = _delta(ys)
-    qpow = _Powers(q)
-    qbin = _BinomPowers(q)
 
-    pyx = [[_RunningPoch(ys[i] / xs[j], q) for j in range(M)] for i in range(M)]
-    pyy = [[_RunningPoch(q * ys[i] / ys[j], q) for j in range(M)] for i in range(M)]
-    py = [_RunningPoch(ys[i], q) for i in range(M)]
+    def dirs(w, e=0, extra=None):
+        """Per-direction factors w_i^l q^(e C(l,2)) prod_j (y_i/x_j)_l (extra_i)_l
+        / ((y_i)_l prod_j (q y_i/y_j)_l), without (extra_i)_l when extra is None."""
+        return tuple(
+            Factor(
+                w=w[i],
+                e=e,
+                a=tuple(yi / xj for xj in xs) + (() if extra is None else (extra[i],)),
+                b=(yi,) + tuple(q * yi / yj for yj in ys),
+            )
+            for i, yi in enumerate(ys)
+        )
 
-    def delta_num(l):
-        if M == 1:
-            return 1.0 + 0.0j
-        return _delta([ys[i] * qpow(l[i]) for i in range(M)])
-
+    ayc = [A * yi / C for yi in ys]
+    pref = 1.0 + 0.0j
     if k == 1:
-        pref = 1.0 + 0.0j
         for i in range(M):
             pref *= qpoch_infinite(A * xs[i], ctx) * qpoch_infinite(ys[i], ctx)
             pref /= qpoch_infinite(A * ys[i], ctx) * qpoch_infinite(xs[i], ctx)
-        pA = _RunningPoch(A, q)
-        pC = _RunningPoch(C, q)
-        pay = [_RunningPoch(A * ys[i] / q, q) for i in range(M)]
-        pax = [_RunningPoch(A * xs[i], q) for i in range(M)]
-        payc = [_RunningPoch(A * ys[i] / C, q) for i in range(M)]
-        # (B_i C x_i / B)^{l_i}
-        wpow = [_Powers(Bs[i] * C * xs[i] / Bprod) for i in range(M)]
-
-        def term(l):
-            s = sum(l)
-            t = qbin(s) * delta_num(l) / dden * pA(s) / pC(s)
-            for i in range(M):
-                li = l[i]
-                ayq = A * ys[i] / q
-                num = (1.0 - ayq * qpow(s + li)) / (1.0 - ayq) * pay[i](s)
-                for j in range(M):
-                    num *= pyx[i][j](li)
-                num *= payc[i](li) * wpow[i](li) * qbin(li)
-                den = pax[i](s) * py[i](li)
-                for j in range(M):
-                    den *= pyy[i][j](li)
-                t *= num / den
-            return t
-
-        res = sum_shells(term, M, ctx)
+        mu = tuple(A * yi / q for yi in ys)
+        spec = ShellSpec(
+            Factor(e=1, a=(A,) + mu, b=(C,) + tuple(A * xi for xi in xs)),
+            dirs=dirs([Bs[i] * C * xs[i] / Bprod for i in range(M)], 1, ayc),
+            y=tuple(ys),
+            mu=mu,
+        )
     elif k == 2:
         w = C / Bprod
         if abs(w) >= 1:
             raise DomainError(f"family 2 needs |C/B| < 1, got {abs(w)}")
-        pref = 1.0 + 0.0j
         for i in range(M):
             pref *= qpoch_infinite(ys[i], ctx) / qpoch_infinite(xs[i], ctx)
-        payc = [_RunningPoch(A * ys[i] / C, q) for i in range(M)]
-        wpow = _Powers(w)
-
-        def term(l):
-            s = sum(l)
-            t = wpow(s) * delta_num(l) / dden
-            for i in range(M):
-                li = l[i]
-                num = payc[i](li)
-                for j in range(M):
-                    num *= pyx[i][j](li)
-                den = py[i](li)
-                for j in range(M):
-                    den *= pyy[i][j](li)
-                t *= num / den
-            return t
-
-        res = sum_shells(term, M, ctx)
+        spec = ShellSpec(Factor(w=w), dirs=dirs([1.0] * M, 0, ayc), y=tuple(ys))
     elif k == 3:
-        pref = 1.0 + 0.0j
         for i in range(M):
             pref *= qpoch_infinite(ys[i], ctx) / qpoch_infinite(xs[i], ctx)
-        pCA = _RunningPoch(C / A, q)
-        pC = _RunningPoch(C, q)
-        wpow = _Powers(-A / Bprod)
-        ypow = [_Powers(ys[i]) for i in range(M)]
-
-        def term(l):
-            s = sum(l)
-            t = wpow(s) * delta_num(l) / dden * pCA(s) / pC(s)
-            for i in range(M):
-                li = l[i]
-                num = ypow[i](li) * qbin(li)
-                for j in range(M):
-                    num *= pyx[i][j](li)
-                den = py[i](li)
-                for j in range(M):
-                    den *= pyy[i][j](li)
-                t *= num / den
-            return t
-
-        res = sum_shells(term, M, ctx)
+        spec = ShellSpec(Factor(w=-A / Bprod, a=(C / A,), b=(C,)), dirs=dirs(ys, 1), y=tuple(ys))
     else:
         raise DomainError(f"unknown qAL solution family {k}")
+    res = sum_shells(spec, M, ctx)
     return SeriesResult(pref * res.value, res.shells_used, res.converged, res.last_shell_magnitude)
 
 
@@ -619,131 +632,53 @@ def degene_solution(k: int, a, b, qlambda, ctx: QContext, aM1_power=None) -> Ser
         lam1 = cmath.log(qlp1) / cmath.log(q)
         aM1_power = cmath.exp(-lam1 * cmath.log(aM1))
 
-    qpow = _Powers(q)
-    qbin = _BinomPowers(q)
-    dden = _delta(a[:M])
-    paa = [[_RunningPoch(q * a[i] / a[j], q) for j in range(M + 1)] for i in range(M)]
-    pab = [[_RunningPoch(a[i] / b[j], q) for j in range(M + 1)] for i in range(M)]
+    def dirs(nb, w, e=0):
+        """Per-direction factors w_i^l q^(e C(l,2)) prod_{j<nb} (a_i/b_j)_l
+        / prod_{j<=M} (q a_i/a_j)_l."""
+        return tuple(
+            Factor(
+                w=w[i],
+                e=e,
+                a=tuple(a[i] / bj for bj in b[:nb]),
+                b=tuple(q * a[i] / aj for aj in a),
+            )
+            for i in range(M)
+        )
 
-    def delta_num(l):
-        if M == 1:
-            return 1.0 + 0.0j
-        return _delta([a[i] * qpow(l[i]) for i in range(M)])
-
+    pref = aM1_power
+    for i in range(M):
+        pref *= qpoch_infinite(q * a[i] / aM1, ctx)
     if k == 1:
-        pref = aM1_power
         for i in range(M):
-            pref *= qpoch_infinite(q * a[i] / aM1, ctx)
             pref /= qpoch_infinite(qlp2 * a[i] / aM1, ctx)
         for j in range(M + 1):
             pref *= qpoch_infinite(qlp2 * b[j] / aM1, ctx)
             pref /= qpoch_infinite(q * b[j] / aM1, ctx)
-        plam = _RunningPoch(qlp1, q)
-        plb = [_RunningPoch(qlp2 * bj / aM1, q) for bj in b]
-        pla = [_RunningPoch(qlp1 * ai / aM1, q) for ai in a[:M]]
-        zpow = _Powers(q / aM1)
-        wpow = [_Powers(ai / qbeta) for ai in a[:M]]
-
-        def term(l):
-            s = sum(l)
-            t = zpow(s) * qbin(s) * delta_num(l) / dden * plam(s)
-            for j in range(M + 1):
-                t /= plb[j](s)
-            for i in range(M):
-                li = l[i]
-                mu = qlp1 * a[i] / aM1
-                num = (1.0 - mu * qpow(s + li)) / (1.0 - mu) * pla[i](s)
-                for j in range(M + 1):
-                    num *= pab[i][j](li)
-                num *= wpow[i](li) * qbin(li)
-                den = 1.0 + 0.0j
-                for j in range(M + 1):
-                    den *= paa[i][j](li)
-                t *= num / den
-            return t
-
-        res = sum_shells(term, M, ctx)
+        mu = tuple(qlp1 * ai / aM1 for ai in a[:M])
+        spec = ShellSpec(
+            Factor(w=q / aM1, e=1, a=(qlp1,) + mu, b=tuple(qlp2 * bj / aM1 for bj in b)),
+            dirs=dirs(M + 1, [ai / qbeta for ai in a[:M]], 1),
+            y=tuple(a[:M]),
+            mu=mu,
+        )
     elif k == 2:
         w = 1.0 / qbeta
         if abs(w) >= 1:
             raise DomainError(f"family 2 needs |q^-beta| < 1, got {abs(w)}")
-        pref = aM1_power
-        for i in range(M):
-            pref *= qpoch_infinite(q * a[i] / aM1, ctx)
         for j in range(M + 1):
             pref /= qpoch_infinite(q * b[j] / aM1, ctx)
-        wpow = _Powers(w)
-
-        def term(l):
-            s = sum(l)
-            t = wpow(s) * delta_num(l) / dden
-            for i in range(M):
-                li = l[i]
-                num = 1.0 + 0.0j
-                for j in range(M + 1):
-                    num *= pab[i][j](li)
-                den = 1.0 + 0.0j
-                for j in range(M + 1):
-                    den *= paa[i][j](li)
-                t *= num / den
-            return t
-
-        res = sum_shells(term, M, ctx)
+        spec = ShellSpec(Factor(w=w), dirs=dirs(M + 1, [1.0] * M), y=tuple(a[:M]))
     elif k == 3:
         bM1 = b[M]
-        pref = qpoch_infinite(qlp2 * bM1 / aM1, ctx) / qpoch_infinite(qlp1, ctx)
-        pref *= aM1_power
-        for i in range(M):
-            pref *= qpoch_infinite(q * a[i] / aM1, ctx)
+        pref *= qpoch_infinite(qlp2 * bM1 / aM1, ctx) / qpoch_infinite(qlp1, ctx)
         for j in range(M + 1):
             pref /= qpoch_infinite(q * b[j] / aM1, ctx)
-        pb1 = _RunningPoch(q * bM1 / aM1, q)
-        pb2 = _RunningPoch(qlp2 * bM1 / aM1, q)
-        zpow = _Powers(1.0 / bM1)
-        wpow = [_Powers(-ai / qbeta) for ai in a[:M]]
-
-        def term(l):
-            s = sum(l)
-            t = zpow(s) * delta_num(l) / dden * pb1(s) / pb2(s)
-            for i in range(M):
-                li = l[i]
-                num = wpow[i](li) * qbin(li)
-                for j in range(M):  # note: b_{M+1} excluded here
-                    num *= pab[i][j](li)
-                den = 1.0 + 0.0j
-                for j in range(M + 1):
-                    den *= paa[i][j](li)
-                t *= num / den
-            return t
-
-        res = sum_shells(term, M, ctx)
+        spec = ShellSpec(
+            Factor(w=1.0 / bM1, a=(q * bM1 / aM1,), b=(qlp2 * bM1 / aM1,)),
+            dirs=dirs(M, [-ai / qbeta for ai in a[:M]], 1),  # b_{M+1} excluded
+            y=tuple(a[:M]),
+        )
     else:
         raise DomainError(f"unknown degenerate solution family {k}")
+    res = sum_shells(spec, M, ctx)
     return SeriesResult(pref * res.value, res.shells_used, res.converged, res.last_shell_magnitude)
-
-
-def ratio_test(term, M: int, probe_scale: int) -> bool:
-    """Crude multiple-ratio convergence probe.
-
-    Samples a few directions l, scales them by probe_scale, and checks that
-    every unit-step ratio |term(l+e_m)/term(l)| stays below 1 - 1e-6.  Zero
-    terms in both slots count as fine (terminating series); anything
-    inconclusive returns False.
-    """
-    rng = random.Random(1234)
-    for _ in range(4):
-        base = tuple(rng.randint(1, 3) * probe_scale for _ in range(M))
-        for m in range(M):
-            step = tuple(base[i] + (1 if i == m else 0) for i in range(M))
-            try:
-                t0 = complex(term(base))
-                t1 = complex(term(step))
-            except Exception:
-                return False
-            if t0 == 0 and t1 == 0:
-                continue
-            if t0 == 0:
-                return False
-            if abs(t1 / t0) >= 1.0 - 1e-6:
-                return False
-    return True

@@ -2,7 +2,9 @@
 samplers respect their own admissibility predicates, perturbed parameters
 break every equality, and reruns are bit-for-bit deterministic."""
 
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -22,7 +24,7 @@ from qhyper.identities import (
 from qhyper.jackson import BalancedParams, rp_integral
 from qhyper.operators import build_EM_hat, residual
 from qhyper.qcore import QContext, qpoch_infinite
-from qhyper.identities import _phi_lattice
+from qhyper.identities import _phi_lattice, _rng_for
 
 CTX = default_context()
 
@@ -76,6 +78,12 @@ def test_sampler_deterministic():
     p1 = case.sampler(7, 2, CTX)
     p2 = case.sampler(7, 2, CTX)
     assert p1 == p2
+
+
+def test_sampler_seed_is_sha256_of_point():
+    digest = hashlib.sha256(b"thm31.integral:7:2").digest()
+    ref = random.Random(int.from_bytes(digest[:8], "big"))
+    assert _rng_for("thm31.integral", 7, 2).random() == ref.random()
 
 
 def test_perturbation_breaks_every_equality():

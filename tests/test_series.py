@@ -6,21 +6,26 @@ bilateral cases (which were also checked there against their classical product
 forms — 6W5 summation and Ramanujan's 1psi1).
 """
 import cmath
+import functools
 import math
 import random
 
 import pytest
 
+from qhyper import identities, series
 from qhyper.errors import DomainError, NonFinite, TermEvaluationError
+from qhyper.jackson import principal_power
 from qhyper.qcore import QContext, qpoch_finite, qpoch_infinite
 from qhyper.series import (
+    Factor,
     KajiharaParams,
     QALParams,
+    ShellSpec,
     bilateral_psi,
+    degene_solution,
     kajihara_W,
     phi_D,
     qal_solution,
-    ratio_test,
     rphis,
     sum_shells,
     terminating_order,
@@ -405,7 +410,385 @@ def test_qal_families_converge():
         assert res.value != 0
 
 
-def test_ratio_test_probe():
-    z = 0.4
-    assert ratio_test(lambda l: z ** sum(l) * 0.9 ** l[0], 2, 6)
-    assert not ratio_test(lambda l: 1.02 ** sum(l), 2, 6)
+
+# ------------------------------------------- ShellSpec engine vs scalar terms
+#
+# Every family builds a ShellSpec and hands it to sum_shells.  Each test below
+# records those calls and sums the same term, written out as a plain scalar
+# callable over qpoch_finite, through the callable path of sum_shells.  The
+# two must stop at the same shell and agree to 1e-13 of sum |t| (1e-13
+# relative, scaled by the cancellation ratio sum |t| / |sum t|).
+
+QS = [0.5, -0.45, 0.6 * cmath.exp(0.5j)]
+
+
+def _vander(ys, l, q):
+    num = den = 1.0 + 0.0j
+    for i in range(len(ys)):
+        for j in range(i + 1, len(ys)):
+            num *= ys[i] * q ** l[i] - ys[j] * q ** l[j]
+            den *= ys[i] - ys[j]
+    return num / den
+
+
+def _spec_calls(monkeypatch, fn, *args):
+    """(M, shell_cap, exact, result) of every sum_shells call fn makes."""
+    calls = []
+    real = series.sum_shells
+
+    def record(term, M, ctx, shell_cap=None, exact=False):
+        assert isinstance(term, ShellSpec)
+        res = real(term, M, ctx, shell_cap=shell_cap, exact=exact)
+        calls.append((M, shell_cap, exact, res))
+        return res
+
+    with monkeypatch.context() as mp:
+        mp.setattr(series, "sum_shells", record)
+        fn(*args)
+    return calls
+
+
+def _assert_matches(call, term, ctx):
+    M, cap, exact, res = call
+    memo = {}
+
+    def cached(l):
+        if l not in memo:
+            memo[l] = term(l)
+        return memo[l]
+
+    ref = sum_shells(cached, M, ctx, shell_cap=cap, exact=exact)
+    assert (res.shells_used, res.converged) == (ref.shells_used, ref.converged)
+    abs_sum = sum(abs(t) for t in memo.values())  # every term of the consumed shells
+    assert abs(res.value - ref.value) <= 1e-13 * abs_sum
+
+
+def _check_family(monkeypatch, ctx, fn, args, terms):
+    calls = _spec_calls(monkeypatch, fn, *args, ctx)
+    assert len(calls) == len(terms)
+    for call, term in zip(calls, terms):
+        _assert_matches(call, term, ctx)
+
+
+def _poch(ctx):
+    @functools.lru_cache(maxsize=None)
+    def P(a, n):
+        return qpoch_finite(a, n, ctx)
+
+    return P
+
+
+@pytest.mark.parametrize("q", QS)
+def test_spec_rphis_vwp_psi(q, monkeypatch):
+    ctx = QContext(q=q)
+    P = _poch(ctx)
+    rng = random.Random(31)
+    for upper, lower, z in [
+        ([_rand_unit(rng), _rand_unit(rng)], [_rand_unit(rng)], _rand_unit(rng, 0.3, 0.6)),
+        ([_rand_unit(rng)], [_rand_unit(rng), _rand_unit(rng)], _rand_unit(rng, 0.5, 2.0)),
+        ([q**-4, _rand_unit(rng), _rand_unit(rng)], [_rand_unit(rng)], _rand_unit(rng, 0.5, 2.0)),
+    ]:
+        excess = 1 + len(lower) - len(upper)
+
+        def term(l, upper=upper, lower=lower, z=z, excess=excess):
+            n = l[0]
+            t = math.prod(P(u, n) for u in upper) / (P(q, n) * math.prod(P(d, n) for d in lower))
+            return t * z ** n * ((-1) ** n * q ** (n * (n - 1) // 2)) ** excess
+
+        _check_family(monkeypatch, ctx, rphis, (upper, lower, z), [term])
+
+    for rest in ([_rand_unit(rng) for _ in range(3)], [_rand_unit(rng), _rand_unit(rng), q ** -3]):
+        a1, z = _rand_unit(rng), _rand_unit(rng, 0.2, 0.5)
+
+        def term(l, a1=a1, rest=rest, z=z):
+            n = l[0]
+            t = (1 - a1 * q ** (2 * n)) / (1 - a1) * P(a1, n) * z ** n
+            t *= math.prod(P(c, n) for c in rest)
+            return t / (P(q, n) * math.prod(P(q * a1 / c, n) for c in rest))
+
+        _check_family(monkeypatch, ctx, vwp_W, (a1, rest, z), [term])
+
+    # both halves non-terminating, then a negative half that terminates at m = 3
+    for upper, lower in [
+        ([_rand_unit(rng, 0.75, 0.9) for _ in range(2)], [_rand_unit(rng, 0.25, 0.4)] * 2),
+        ([_rand_unit(rng, 0.75, 0.9)], [q ** 4]),
+    ]:
+        z = _rand_unit(rng, 0.55, 0.65)
+
+        def pos(l, upper=upper, lower=lower, z=z):
+            n = l[0]
+            return math.prod(P(c, n) for c in upper) / math.prod(P(d, n) for d in lower) * z ** n
+
+        def neg(l, upper=upper, lower=lower, z=z):
+            m = -(l[0] + 1)  # (c)_m with negative index
+            return math.prod(P(c, m) for c in upper) / math.prod(P(d, m) for d in lower) * z ** m
+
+        _check_family(monkeypatch, ctx, bilateral_psi, (upper, lower, z), [pos, neg])
+
+
+def _kajihara_term(p, ctx, dir_caps):
+    P = _poch(ctx)
+    q = ctx.q
+    M = len(p.x)
+
+    def term(l):
+        if any(c is not None and li > c for li, c in zip(l, dir_caps)):
+            return 0.0
+        s = sum(l)
+        t = p.z ** s * _vander(p.x, l, q)
+        t *= math.prod(P(v, s) for v in p.v) / math.prod(P(p.a * q / u, s) for u in p.u)
+        for i in range(M):
+            xi, li = p.x[i], l[i]
+            t *= (1 - p.a * xi * q ** (s + li)) / (1 - p.a * xi) * P(p.a * xi, s)
+            t *= math.prod(P(xi * u, li) for u in p.u)
+            t /= math.prod(P(q * xi / xj, li) for xj in p.x)
+            t /= math.prod(P(p.a * q * xi / v, li) for v in p.v)
+        return t
+
+    return term
+
+
+@pytest.mark.parametrize("q", QS)
+def test_spec_kajihara(q, monkeypatch):
+    ctx = QContext(q=q)
+    rng = random.Random(5)
+    for M in (1, 2, 3):
+        p = KajiharaParams(
+            x=tuple(_rand_unit(rng) for _ in range(M)),
+            a=_rand_unit(rng),
+            u=tuple(_rand_unit(rng) for _ in range(M + 2)),
+            v=(_rand_unit(rng), _rand_unit(rng)),
+            z=_rand_unit(rng, 0.1, 0.2),
+        )
+        _check_family(monkeypatch, ctx, kajihara_W, (p,), [_kajihara_term(p, ctx, [None] * M)])
+        # terminating through direction caps: x_i u_i = q^-n_i
+        caps = [2, 3, 1][:M]
+        u = tuple(q ** -n / xi for n, xi in zip(caps, p.x)) + p.u[M:]
+        pt = KajiharaParams(x=p.x, a=p.a, u=u, v=p.v, z=_rand_unit(rng, 0.8, 1.5))
+        calls = _spec_calls(monkeypatch, kajihara_W, pt, ctx)
+        assert calls[0][1:3] == (sum(caps), True)
+        _assert_matches(calls[0], _kajihara_term(pt, ctx, caps), ctx)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_spec_phi_D_and_qal(q, monkeypatch):
+    ctx = QContext(q=q)
+    P = _poch(ctx)
+    sampler = identities.catalog()["qal.solutions"]
+    for M in (1, 2, 3):
+        B, x = (0.2, 0.5, -0.4)[:M], (0.35, -0.3 + 0.2j, 0.25j)[:M]
+        p = QALParams(A=0.3 + 0.1j, B=B, C=0.6, x=x)
+
+        def phid(l, p=p):
+            s = sum(l)
+            t = P(p.A, s) / P(p.C, s)
+            for bi, xi, li in zip(p.B, p.x, l):
+                t *= P(bi, li) / P(q, li) * xi ** li
+            return t
+
+        _check_family(monkeypatch, ctx, phi_D, (p,), [phid])
+
+        d = sampler.sampler(0, M, ctx)
+        A, C, Bs, xs = d["A"], d["C"], d["B"], d["x"]
+        Bprod = math.prod(Bs)
+        ys = [b * x for b, x in zip(Bs, xs)]
+
+        def common(l):
+            t = _vander(ys, l, q)
+            for i, li in enumerate(l):
+                t *= math.prod(P(ys[i] / xj, li) for xj in xs)
+                t /= P(ys[i], li) * math.prod(P(q * ys[i] / yj, li) for yj in ys)
+            return t
+
+        def fam1(l):
+            s = sum(l)
+            t = q ** (s * (s - 1) // 2) * common(l) * P(A, s) / P(C, s)
+            for i, li in enumerate(l):
+                mu = A * ys[i] / q
+                t *= (1 - mu * q ** (s + li)) / (1 - mu) * P(mu, s) / P(A * xs[i], s)
+                t *= P(A * ys[i] / C, li) * (Bs[i] * C * xs[i] / Bprod) ** li
+                t *= q ** (li * (li - 1) // 2)
+            return t
+
+        def fam2(l):
+            t = (C / Bprod) ** sum(l) * common(l)
+            return t * math.prod(P(A * ys[i] / C, li) for i, li in enumerate(l))
+
+        def fam3(l):
+            s = sum(l)
+            t = (-A / Bprod) ** s * common(l) * P(C / A, s) / P(C, s)
+            return t * math.prod(ys[i] ** li * q ** (li * (li - 1) // 2) for i, li in enumerate(l))
+
+        for k, term in ((1, fam1), (2, fam2), (3, fam3)):
+            _check_family(monkeypatch, ctx, lambda *args, k=k: qal_solution(k, *args),
+                          (QALParams(A=A, B=Bs, C=C, x=xs),), [term])
+
+
+@pytest.mark.parametrize("q", QS)
+def test_spec_degene(q, monkeypatch):
+    ctx = QContext(q=q)
+    P = _poch(ctx)
+    sampler = identities.catalog()["degene.solutions"]
+    for M in (1, 2, 3):
+        d = sampler.sampler(0, M, ctx)
+        a, b = d["a"], d["b"]
+        qlam = principal_power(q, d["lam"])
+        qlp1, qlp2 = qlam * q, qlam * q * q
+        aM1, bM1 = a[M], b[M]
+        qbeta = math.prod(a) / (qlp2 * math.prod(b))
+
+        def dirs(l, nb, w, e):
+            t = _vander(a[:M], l, q)
+            for i, li in enumerate(l):
+                t *= math.prod(P(a[i] / bj, li) for bj in b[:nb]) * w[i] ** li
+                t *= q ** (e * li * (li - 1) // 2) / math.prod(P(q * a[i] / aj, li) for aj in a)
+            return t
+
+        def fam1(l):
+            s = sum(l)
+            t = (q / aM1) ** s * q ** (s * (s - 1) // 2) * P(qlp1, s)
+            t /= math.prod(P(qlp2 * bj / aM1, s) for bj in b)
+            for i, li in enumerate(l):
+                mu = qlp1 * a[i] / aM1
+                t *= (1 - mu * q ** (s + li)) / (1 - mu) * P(mu, s)
+            return t * dirs(l, M + 1, [ai / qbeta for ai in a], 1)
+
+        def fam2(l):
+            return (1 / qbeta) ** sum(l) * dirs(l, M + 1, [1.0] * M, 0)
+
+        def fam3(l):
+            s = sum(l)
+            t = (1 / bM1) ** s * P(q * bM1 / aM1, s) / P(qlp2 * bM1 / aM1, s)
+            return t * dirs(l, M, [-ai / qbeta for ai in a], 1)
+
+        for k, term in ((1, fam1), (2, fam2), (3, fam3)):
+            _check_family(monkeypatch, ctx, lambda *args, k=k: degene_solution(k, *args),
+                          (a, b, qlam), [term])
+
+
+@pytest.mark.parametrize("q", QS)
+def test_spec_catalog_sums(q, monkeypatch):
+    # the shell sums the identity catalog builds itself
+    ctx = QContext(q=q)
+    P = _poch(ctx)
+    cases = identities.catalog()
+
+    def kphid(p):
+        a, b, c, u, xs = p["a"], p["b"], p["c"], p["u"], p["x"]
+
+        def term(l):
+            t = u ** sum(l) * _vander(xs, l, q)
+            for i, li in enumerate(l):
+                t *= P(b * xs[i] / xs[-1], li) / P(c * xs[i] / xs[-1], li)
+                for aj, xj in zip(a, xs):
+                    t *= P(aj * xs[i] / xj, li) / P(q * xs[i] / xj, li)
+            return t
+
+        return "lhs", term
+
+    def gen(p, second):
+        a, b, x = p["a"], p["b"], p["x"]
+        M = len(b)
+
+        def term(l):
+            s = sum(l)
+            if second:
+                z = -math.prod(a) * x / (a[M] * math.prod(b))
+                t = z ** s * P(a[M], s) / P(a[M] * x, s)
+            else:
+                t = (math.prod(a) * x / math.prod(b)) ** s
+            t *= _vander(b, l, q)
+            for i, li in enumerate(l):
+                t /= P(b[i], li) * math.prod(P(q * b[i] / bj, li) for bj in b)
+                t *= math.prod(P(b[i] / aj, li) for aj in (a[:M] if second else a))
+                if second:
+                    t *= b[i] ** li * q ** (li * (li - 1) // 2)
+            return t
+
+        return "lhs", term
+
+    def serlim(p):
+        a, b = p["a"], p["b"]
+        M = len(a) - 2
+        qlp1 = principal_power(q, p["lam"]) * q
+        aM2 = a[M + 1]
+        kappa = qlp1 / aM2
+
+        def term(l):
+            s = sum(l)
+            t = (-q * a[M] / aM2) ** s * q ** (s * (s - 1) // 2) * _vander(a[:M], l, q)
+            t *= P(qlp1, s) / math.prod(P(qlp1 * q * bj / aM2, s) for bj in b)
+            for i, li in enumerate(l):
+                mu = kappa * a[i]
+                t *= (1 - mu * q ** (s + li)) / (1 - mu) * P(mu, s)
+                t *= math.prod(P(a[i] / bj, li) for bj in b) / P(q * a[i] / aM2, li)
+                t /= math.prod(P(q * a[i] / aj, li) for aj in a[:M])
+            return t
+
+        return "rhs", term
+
+    for cid, Ms, build in (
+        ("qal.kajihara_phiD", (1, 2, 3), kphid),
+        ("mp1phim.euler", (1, 2, 3), lambda p: gen(p, False)),
+        ("mp1phim.jackson", (1, 2, 3), lambda p: gen(p, True)),
+        ("degene.series_limit", (1, 2), serlim),
+    ):
+        for M in Ms:
+            p = cases[cid].sampler(0, M, ctx)
+            side, term = build(p)
+            calls = []
+            real = identities.sum_shells
+
+            def record(spec, M, ctx, shell_cap=None, exact=False):
+                assert isinstance(spec, ShellSpec)
+                calls.append((M, shell_cap, exact, real(spec, M, ctx, shell_cap, exact)))
+                return calls[-1][3]
+
+            with monkeypatch.context() as mp:
+                mp.setattr(identities, "sum_shells", record)
+                getattr(cases[cid], side)(p, ctx)
+            assert len(calls) == 1, cid
+            _assert_matches(calls[0], term, ctx)
+
+
+# ----------------------------------------------------- ShellSpec error paths
+
+
+def test_spec_shells_past_the_stop_never_raise():
+    q = CTX.q
+    # terms vanish from n = 2 on, so the sum stops at shell 4; the block it
+    # came from also holds n = 9, where (q^-8; q)_n divides by zero, and
+    # shells where w^n overflows
+    for spec in (
+        ShellSpec(Factor(a=(q ** -1,), b=(q ** -8,))),
+        ShellSpec(Factor(w=1e200, a=(q ** -1,))),
+        ShellSpec(Factor(a=(q ** -1,)), dirs=(Factor(b=(q ** -6,)), Factor(w=0.3))),
+    ):
+        M = max(1, len(spec.dirs))
+        res = sum_shells(spec, M, CTX)
+        assert res.converged and res.shells_used == 5
+
+
+def test_spec_zero_denominator_raises_term_error():
+    q = CTX.q
+    for spec, M in (
+        (ShellSpec(Factor(w=0.3, b=(q ** -2,))), 1),  # (q^-2; q)_3 = 0
+        (ShellSpec(Factor(w=0.3), dirs=(Factor(w=0.2), Factor(w=0.2, b=(q ** -1,)))), 2),
+        (ShellSpec(Factor(w=0.3), y=(0.4, 0.4)), 2),  # Delta(y) = 0
+        (ShellSpec(Factor(w=0.3), mu=(1.0,)), 1),  # 1 - mu = 0
+    ):
+        with pytest.raises(TermEvaluationError):
+            sum_shells(spec, M, CTX)
+    # past its cap a direction factor is zero, even where (q^-1; q)_l = 0
+    spec = ShellSpec(Factor(w=0.3), dirs=(Factor(b=(q ** -1,), cap=1), Factor(w=0.2)))
+    res = sum_shells(spec, 2, CTX)
+    assert res.converged
+    assert rel(res.value, (1 + 0.3 / (1 - 1 / q)) / (1 - 0.3 * 0.2)) < 1e-14
+
+
+def test_spec_nonfinite_raises():
+    with pytest.raises(NonFinite, match="term"):
+        sum_shells(ShellSpec(Factor(w=1e200)), 1, CTX)  # w^2 overflows
+    with pytest.raises(NonFinite, match="partial"):
+        # two finite terms of 1.5e308 in shell 1 overflow the shell sum
+        sum_shells(ShellSpec(Factor(w=1.5e308, b=(0.0,))), 2, CTX)
