@@ -10,6 +10,14 @@ The two parameter bundles:
 Fractional powers never get evaluated pointwise on the lattice: the base value
 tau^(alpha-1) is fixed once (principal branch unless the caller passes it in),
 and lattice steps multiply by exact integer powers of q^alpha.
+
+Every lattice sum here (one-sided, each half of a bilateral sum, the
+Jordan-Pochhammer and the degenerate integral) is one stall loop,
+``_lattice_sum``.  Every integrand is a ratio of infinite products, built
+afresh at each lattice point by ``_product_ratio`` from qcore's
+``qpoch_infinite``: numerators first, so that an exact lattice zero returns 0
+before any denominator (which could sit on its pole there) is evaluated; a
+vanishing denominator factor raises PoleHit.
 """
 from __future__ import annotations
 
@@ -19,8 +27,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NoConvergence, NonFinite, PoleHit
 from .qcore import QContext
-
-_ZERO_SNAP = 1e-12
+# a private name: the products are part of this layer's per-point work, and
+# per-layer tracing wraps only the public names one module imports from another
+from .qcore import qpoch_infinite as _qpoch
 
 
 @dataclass(frozen=True)
@@ -95,113 +104,73 @@ def q_exponent(value, ctx: QContext):
     return cmath.log(value) / cmath.log(ctx.q)
 
 
-def _poch_inf_num(arg, ctx: QContext):
-    """(arg; q)_inf for a numerator: a factor within 1e-12 of zero is an exact
-    zero of the integrand (lattice zeros of (a_k t)_inf), so return 0."""
-    prod = 1.0 + 0.0j
-    aq = complex(arg)
-    for _ in range(ctx.infinite_product_cutoff):
-        if abs(aq) < 1e-14:
-            break
-        f = 1.0 - aq
-        if abs(f) < _ZERO_SNAP:
+def _product_ratio(num, den, t, ctx: QContext):
+    """prod_k (num_k t; q)_inf / prod_k (den_k t; q)_inf.
+
+    A numerator factor within 1e-12 of zero is an exact lattice zero: return 0
+    without evaluating the denominators.  A vanishing denominator factor is a
+    pole and raises PoleHit."""
+    val = 1.0 + 0.0j
+    for c in num:
+        p = _qpoch(c * t, ctx, "zero")
+        if p == 0:
             return 0.0 + 0.0j
-        prod *= f
-        aq *= ctx.q
-    else:
-        _check_tail(aq, ctx)
-    return prod
+        val *= p
+    for c in den:
+        val /= _qpoch(c * t, ctx, "pole")
+    return val
 
 
-def _poch_inf_den(arg, ctx: QContext):
-    """(arg; q)_inf for a denominator: a vanishing factor is a pole."""
-    prod = 1.0 + 0.0j
-    aq = complex(arg)
-    for _ in range(ctx.infinite_product_cutoff):
-        if abs(aq) < 1e-14:
-            break
-        f = 1.0 - aq
-        if abs(f) < _ZERO_SNAP:
-            raise PoleHit(f"denominator factor vanishes at argument {arg}")
-        prod *= f
-        aq *= ctx.q
-    else:
-        _check_tail(aq, ctx)
-    return prod
+def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False):
+    """total + sum_{n >= 0} f(t_n) w_n with t_n = t step^n, w_n = w wstep^n.
 
-
-def _check_tail(aq, ctx):
-    if abs(aq) >= 1e-14:
-        raise NoConvergence(
-            f"(a; q)_inf tail still {abs(aq):.1e} after "
-            f"{ctx.infinite_product_cutoff} factors (|q| too close to 1)"
-        )
-
-
-def _check_finite(v, where):
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise NonFinite(f"non-finite value in {where}")
+    With divide set, each step divides by step and wstep instead (the n < 0
+    half of a bilateral lattice).  The sum stops once stall_window consecutive
+    terms are each at most rel_tol * max(1, |running total|); the running
+    total starts at the total passed in, so the second half of a bilateral sum
+    stalls against the whole sum.  A non-finite term raises NonFinite, and
+    4 * infinite_product_cutoff points without a stall raise NoConvergence.
+    """
+    cap = 4 * ctx.infinite_product_cutoff
+    stall = 0
+    for _ in range(cap):
+        term = complex(f(t)) * w
+        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
+            raise NonFinite(f"non-finite value in {where}")
+        total += term
+        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
+            stall += 1
+            if stall >= ctx.stall_window:
+                return total
+        else:
+            stall = 0
+        if divide:
+            t /= step
+            w /= wstep
+        else:
+            t *= step
+            w *= wstep
+    raise NoConvergence(f"{where} did not stall within {cap} lattice points")
 
 
 def jackson_0_to(tau, f, ctx: QContext) -> complex:
     """(1-q) sum_{n>=0} f(tau q^n) tau q^n, with stall-based truncation."""
     if tau == 0:
         return 0.0 + 0.0j
-    cap = 4 * ctx.infinite_product_cutoff
-    total = 0.0 + 0.0j
     t = complex(tau)
-    stall = 0
-    for _ in range(cap):
-        term = complex(f(t)) * t
-        _check_finite(term, "jackson_0_to")
-        total += term
-        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
-            stall += 1
-            if stall >= ctx.stall_window:
-                return (1.0 - ctx.q) * total
-        else:
-            stall = 0
-        t *= ctx.q
-    raise NoConvergence(f"jackson_0_to did not stall within {cap} lattice points")
+    return (1.0 - ctx.q) * _lattice_sum(t, ctx.q, t, ctx.q, f, ctx, 0.0 + 0.0j, "jackson_0_to")
 
 
 def jackson_bilateral(tau, f, ctx: QContext) -> complex:
     """(1-q) sum_{n in Z} f(tau q^n) tau q^n over the full bilateral lattice."""
     if tau == 0:
         raise DomainError("bilateral lattice needs tau != 0")
-    cap = 4 * ctx.infinite_product_cutoff
-    total = 0.0 + 0.0j
+    q = ctx.q
     t = complex(tau)
-    stall = 0
-    done = False
-    for _ in range(cap):
-        term = complex(f(t)) * t
-        _check_finite(term, "jackson_bilateral")
-        total += term
-        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
-            stall += 1
-            if stall >= ctx.stall_window:
-                done = True
-                break
-        else:
-            stall = 0
-        t *= ctx.q
-    if not done:
-        raise NoConvergence(f"jackson_bilateral (n >= 0) did not stall within {cap} points")
-    t = complex(tau) / ctx.q
-    stall = 0
-    for _ in range(cap):
-        term = complex(f(t)) * t
-        _check_finite(term, "jackson_bilateral")
-        total += term
-        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
-            stall += 1
-            if stall >= ctx.stall_window:
-                return (1.0 - ctx.q) * total
-        else:
-            stall = 0
-        t /= ctx.q
-    raise NoConvergence(f"jackson_bilateral (n < 0) did not stall within {cap} points")
+    total = _lattice_sum(t, q, t, q, f, ctx, 0.0 + 0.0j, "jackson_bilateral (n >= 0)")
+    t = t / q
+    total = _lattice_sum(t, q, t, q, f, ctx, total, "jackson_bilateral (n < 0)", divide=True)
+    return (1.0 - q) * total
 
 
 def jackson_between(tau1, tau2, f, ctx: QContext) -> complex:
@@ -216,15 +185,7 @@ def rp_integrand(bp: BalancedParams, ctx: QContext):
     b = tuple(complex(v) for v in bp.b)
 
     def psi(t):
-        val = 1.0 + 0.0j
-        for ak in a:
-            num = _poch_inf_num(ak * t, ctx)
-            if num == 0:
-                return 0.0 + 0.0j
-            val *= num
-        for bk in b:
-            val /= _poch_inf_den(bk * t, ctx)
-        return val
+        return _product_ratio(a, b, t, ctx)
 
     return psi
 
@@ -262,62 +223,18 @@ def jp_integral(p: JPParams, x, ctx: QContext, tau_power=None) -> complex:
         alpha = q_exponent(p.alpha_power, ctx)
         tau_power = principal_power(tau, alpha - 1)
 
-    a = tuple(complex(v) for v in p.a)
-    b = tuple(complex(v) for v in p.b)
-    Ax = p.A * x
-    Bx = p.B * x
+    num = (p.A * x,) + tuple(complex(v) for v in p.a)
+    den = (p.B * x,) + tuple(complex(v) for v in p.b)
 
     def F(t):
-        val = _poch_inf_num(Ax * t, ctx)
-        if val == 0:
-            return 0.0 + 0.0j
-        for ak in a:
-            num = _poch_inf_num(ak * t, ctx)
-            if num == 0:
-                return 0.0 + 0.0j
-            val *= num
-        val /= _poch_inf_den(Bx * t, ctx)
-        for bk in b:
-            val /= _poch_inf_den(bk * t, ctx)
-        return val
+        return _product_ratio(num, den, t, ctx)
 
-    cap = 4 * ctx.infinite_product_cutoff
-    total = 0.0 + 0.0j
-    t = tau
+    q = ctx.q
     w = tau * tau_power
-    stall = 0
-    done = False
-    for _ in range(cap):
-        term = w * F(t)
-        _check_finite(term, "jp_integral")
-        total += term
-        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
-            stall += 1
-            if stall >= ctx.stall_window:
-                done = True
-                break
-        else:
-            stall = 0
-        t *= ctx.q
-        w *= p.alpha_power
-    if not done:
-        raise NoConvergence(f"jp_integral (n >= 0) did not stall within {cap} points")
-    t = tau / ctx.q
-    w = tau * tau_power / p.alpha_power
-    stall = 0
-    for _ in range(cap):
-        term = w * F(t)
-        _check_finite(term, "jp_integral")
-        total += term
-        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
-            stall += 1
-            if stall >= ctx.stall_window:
-                return (1.0 - ctx.q) * total
-        else:
-            stall = 0
-        t /= ctx.q
-        w /= p.alpha_power
-    raise NoConvergence(f"jp_integral (n < 0) did not stall within {cap} points")
+    total = _lattice_sum(tau, q, w, p.alpha_power, F, ctx, 0.0 + 0.0j, "jp_integral (n >= 0)")
+    total = _lattice_sum(tau / q, q, w / p.alpha_power, p.alpha_power, F, ctx, total,
+                         "jp_integral (n < 0)", divide=True)
+    return (1.0 - q) * total
 
 
 def degene_integral(j: int, a, b, qlambda, ctx: QContext, tau_power=None) -> complex:
@@ -339,31 +256,8 @@ def degene_integral(j: int, a, b, qlambda, ctx: QContext, tau_power=None) -> com
         tau_power = principal_power(tau, lam)
 
     def F(t):
-        val = 1.0 + 0.0j
-        for ak in a:
-            num = _poch_inf_num(ak * t, ctx)
-            if num == 0:
-                return 0.0 + 0.0j
-            val *= num
-        for bk in b:
-            val /= _poch_inf_den(bk * t, ctx)
-        return val
+        return _product_ratio(a, b, t, ctx)
 
-    cap = 4 * ctx.infinite_product_cutoff
-    total = 0.0 + 0.0j
-    t = tau
     w = tau * tau_power  # tau^(lambda+1), then times q^(n(lambda+1))
-    stall = 0
-    for _ in range(cap):
-        term = w * F(t)
-        _check_finite(term, "degene_integral")
-        total += term
-        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
-            stall += 1
-            if stall >= ctx.stall_window:
-                return (1.0 - ctx.q) * total
-        else:
-            stall = 0
-        t *= ctx.q
-        w *= qlp1
-    raise NoConvergence(f"degene_integral did not stall within {cap} points")
+    return (1.0 - ctx.q) * _lattice_sum(tau, ctx.q, w, qlp1, F, ctx, 0.0 + 0.0j,
+                                        "degene_integral")

@@ -2,20 +2,26 @@
 
 All evaluation happens in complex double precision with a base |q| < 1.  The
 QContext bundles q together with the truncation knobs every summation in the
-package shares, so numerical policy lives in one place.
+package shares, so numerical policy lives in one place.  Every (a; q)_inf in
+the package, Jackson integrands included, is the one product of
+``qpoch_infinite``; how a vanishing factor is read (plain, an exact zero, a
+pole) is an explicit argument of it.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, DomainError, NoConvergence
+from .errors import DivisionByZero, DomainError, NoConvergence, PoleHit
 
-# Infinite products are truncated once the running factor is within this
-# distance of 1; 64 ulps keeps the truncation error far below every tolerance
-# used by the identity checks.
-_PRODUCT_EPS = 64.0 * sys.float_info.epsilon
+# (a; q)_inf keeps the factors with |a q^j| >= _TAIL; each factor dropped is
+# within 1e-14 of 1, and together they move the product by < 1e-14 / (1 - |q|).
+_TAIL = 1e-14
+_LOG_TAIL = math.log(_TAIL)
+# A factor 1 - a q^j within _SNAP of 0 is a lattice zero or pole.  That needs
+# |a q^j| within _SNAP of 1, so only factors with |a q^j| in [1/2, 2] are tested.
+_SNAP = 1e-12
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -65,33 +71,62 @@ def qpoch_finite(a: complex, l: int, ctx: QContext) -> complex:
     return 1.0 / denom
 
 
-def qpoch_infinite(a: complex, ctx: QContext) -> complex:
-    """(a; q)_inf, truncated once |a q^n| drops below 64 ulps."""
-    prod = 1.0 + 0.0j
+def qpoch_infinite(a: complex, ctx: QContext, vanish: str | None = None) -> complex:
+    """(a; q)_inf: the product of 1 - a q^j over every j with |a q^j| >= 1e-14.
+
+    The factor count n is fixed from log|a| and log|q| before the product
+    starts.  At most ctx.infinite_product_cutoff factors are multiplied, and
+    NoConvergence is raised when n exceeds that cap (|q| too close to 1 or
+    |a| too large for it).  vanish says what a factor within 1e-12 of zero
+    means, and is tested only on the factors that can come that close:
+
+      None    nothing special: the plain product
+      "zero"  an exact lattice zero: return 0 (a numerator)
+      "pole"  a pole: raise PoleHit (a denominator)
+
+    A zero or a pole within the first cutoff factors wins over NoConvergence.
+    A NaN or infinite argument gives NaN.
+    """
+    if vanish is not None and vanish != "zero" and vanish != "pole":
+        raise DomainError(f"vanish must be None, 'zero' or 'pole', got {vanish!r}")
     aq = complex(a)
-    for _ in range(ctx.infinite_product_cutoff):
-        if abs(aq) < _PRODUCT_EPS:
-            break
-        prod *= 1.0 - aq
-        aq *= ctx.q
-    else:
-        if abs(aq) >= _PRODUCT_EPS:
-            raise NoConvergence(
-                f"(a; q)_inf tail still {abs(aq):.1e} after "
-                f"{ctx.infinite_product_cutoff} factors (|q| too close to 1)"
-            )
-    return prod
-
-
-def qpoch_multi(alist, l, ctx: QContext) -> complex:
-    """(a_1, ..., a_r; q)_l — product of q-shifted factorials, l may be inf."""
+    size = abs(aq)
+    if size < _TAIL:
+        return 1.0 + 0.0j
+    if not size < math.inf:  # NaN or inf in, NaN out
+        return complex(math.nan, math.nan)
+    q = ctx.q
+    rate = -math.log(abs(q))
+    loga = math.log(size)
+    cutoff = ctx.infinite_product_cutoff
+    x = (loga - _LOG_TAIL) / rate
+    n = int(x) + 1 if x < cutoff else cutoff + 1
+    stop = min(n, cutoff)
     prod = 1.0 + 0.0j
-    if l is None or (isinstance(l, float) and math.isinf(l)):
-        for a in alist:
-            prod *= qpoch_infinite(a, ctx)
-        return prod
-    for a in alist:
-        prod *= qpoch_finite(a, l, ctx)
+    hi = 0
+    if vanish is not None and size >= 0.5:
+        # only the factors with |a q^j| in [1/2, 2] are tested
+        lo = min(stop, max(0, math.ceil((loga - _LOG2) / rate)))
+        hi = min(stop, math.floor((loga + _LOG2) / rate) + 1)
+        for _ in range(lo):
+            prod *= 1.0 - aq
+            aq *= q
+        for _ in range(lo, hi):
+            f = 1.0 - aq
+            if abs(f) < _SNAP:
+                if vanish == "zero":
+                    return 0.0 + 0.0j
+                raise PoleHit(f"denominator factor vanishes at argument {a}")
+            prod *= f
+            aq *= q
+    for _ in range(hi, stop):
+        prod *= 1.0 - aq
+        aq *= q
+    if n > cutoff:
+        raise NoConvergence(
+            f"(a; q)_inf needs more than {cutoff} factors for |a| = {size:.1e} "
+            f"(|q| too close to 1)"
+        )
     return prod
 
 

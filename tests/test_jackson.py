@@ -3,10 +3,11 @@ integral representation of the symmetrized W."""
 import cmath
 import math
 import random
+import struct
 
 import pytest
 
-from qhyper.errors import DomainError, NoConvergence, PoleHit
+from qhyper.errors import DomainError, NoConvergence, NonFinite, PoleHit, QHyperError
 from qhyper.qcore import QContext, qpoch_infinite
 from qhyper.jackson import (
     BalancedParams,
@@ -268,3 +269,296 @@ def test_pole_hit():
     psi = rp_integrand(bp, CTX)
     with pytest.raises(PoleHit):
         psi(tau)
+
+
+# ------------------------------------------------- lattice sums vs the old loops
+#
+# jackson_0_to, the two halves of jackson_bilateral and of jp_integral, and
+# degene_integral each had a stall loop of their own, and jp_integral and
+# degene_integral their own integrands.  Those loops are the references of
+# the one lattice sum; their integrands call qpoch_infinite's zero and pole
+# modes, which test_qcore checks bit for bit against the old product loops.
+
+
+def _num(arg, ctx):
+    return qpoch_infinite(arg, ctx, "zero")
+
+
+def _den(arg, ctx):
+    return qpoch_infinite(arg, ctx, "pole")
+
+
+def _old_check_finite(v, where):
+    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        raise NonFinite(f"non-finite value in {where}")
+
+
+def _old_jackson_0_to(tau, f, ctx):
+    if tau == 0:
+        return 0.0 + 0.0j
+    cap = 4 * ctx.infinite_product_cutoff
+    total = 0.0 + 0.0j
+    t = complex(tau)
+    stall = 0
+    for _ in range(cap):
+        term = complex(f(t)) * t
+        _old_check_finite(term, "jackson_0_to")
+        total += term
+        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
+            stall += 1
+            if stall >= ctx.stall_window:
+                return (1.0 - ctx.q) * total
+        else:
+            stall = 0
+        t *= ctx.q
+    raise NoConvergence("jackson_0_to")
+
+
+def _old_jackson_bilateral(tau, f, ctx):
+    if tau == 0:
+        raise DomainError("bilateral lattice needs tau != 0")
+    cap = 4 * ctx.infinite_product_cutoff
+    total = 0.0 + 0.0j
+    t = complex(tau)
+    stall = 0
+    done = False
+    for _ in range(cap):
+        term = complex(f(t)) * t
+        _old_check_finite(term, "jackson_bilateral")
+        total += term
+        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
+            stall += 1
+            if stall >= ctx.stall_window:
+                done = True
+                break
+        else:
+            stall = 0
+        t *= ctx.q
+    if not done:
+        raise NoConvergence("jackson_bilateral (n >= 0)")
+    t = complex(tau) / ctx.q
+    stall = 0
+    for _ in range(cap):
+        term = complex(f(t)) * t
+        _old_check_finite(term, "jackson_bilateral")
+        total += term
+        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
+            stall += 1
+            if stall >= ctx.stall_window:
+                return (1.0 - ctx.q) * total
+        else:
+            stall = 0
+        t /= ctx.q
+    raise NoConvergence("jackson_bilateral (n < 0)")
+
+
+def _old_jp_integral(p, x, ctx, tau_power=None):
+    tau = complex(p.tau)
+    if tau_power is None:
+        alpha = q_exponent(p.alpha_power, ctx)
+        tau_power = principal_power(tau, alpha - 1)
+    a = tuple(complex(v) for v in p.a)
+    b = tuple(complex(v) for v in p.b)
+    Ax = p.A * x
+    Bx = p.B * x
+
+    def F(t):
+        val = _num(Ax * t, ctx)
+        if val == 0:
+            return 0.0 + 0.0j
+        for ak in a:
+            num = _num(ak * t, ctx)
+            if num == 0:
+                return 0.0 + 0.0j
+            val *= num
+        val /= _den(Bx * t, ctx)
+        for bk in b:
+            val /= _den(bk * t, ctx)
+        return val
+
+    cap = 4 * ctx.infinite_product_cutoff
+    total = 0.0 + 0.0j
+    t = tau
+    w = tau * tau_power
+    stall = 0
+    done = False
+    for _ in range(cap):
+        term = w * F(t)
+        _old_check_finite(term, "jp_integral")
+        total += term
+        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
+            stall += 1
+            if stall >= ctx.stall_window:
+                done = True
+                break
+        else:
+            stall = 0
+        t *= ctx.q
+        w *= p.alpha_power
+    if not done:
+        raise NoConvergence("jp_integral (n >= 0)")
+    t = tau / ctx.q
+    w = tau * tau_power / p.alpha_power
+    stall = 0
+    for _ in range(cap):
+        term = w * F(t)
+        _old_check_finite(term, "jp_integral")
+        total += term
+        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
+            stall += 1
+            if stall >= ctx.stall_window:
+                return (1.0 - ctx.q) * total
+        else:
+            stall = 0
+        t /= ctx.q
+        w /= p.alpha_power
+    raise NoConvergence("jp_integral (n < 0)")
+
+
+def _old_degene_integral(j, a, b, qlambda, ctx, tau_power=None):
+    a = tuple(complex(v) for v in a)
+    b = tuple(complex(v) for v in b)
+    qlp1 = qlambda * ctx.q
+    tau = ctx.q / a[j - 1]
+    if tau_power is None:
+        lam = q_exponent(qlambda, ctx)
+        tau_power = principal_power(tau, lam)
+
+    def F(t):
+        val = 1.0 + 0.0j
+        for ak in a:
+            num = _num(ak * t, ctx)
+            if num == 0:
+                return 0.0 + 0.0j
+            val *= num
+        for bk in b:
+            val /= _den(bk * t, ctx)
+        return val
+
+    cap = 4 * ctx.infinite_product_cutoff
+    total = 0.0 + 0.0j
+    t = tau
+    w = tau * tau_power
+    stall = 0
+    for _ in range(cap):
+        term = w * F(t)
+        _old_check_finite(term, "degene_integral")
+        total += term
+        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
+            stall += 1
+            if stall >= ctx.stall_window:
+                return (1.0 - ctx.q) * total
+        else:
+            stall = 0
+        t *= ctx.q
+        w *= qlp1
+    raise NoConvergence("degene_integral")
+
+
+def _bits(v):
+    """v bit for bit, every NaN alike."""
+    return tuple("nan" if math.isnan(x) else struct.pack("<d", x) for x in (v.real, v.imag))
+
+
+def _outcome(fn, *args, **kwargs):
+    """The bits of what fn returns, or the type of the error it raises."""
+    try:
+        return _bits(fn(*args, **kwargs))
+    except QHyperError as exc:
+        return type(exc)
+
+
+LATTICE_QS = (0.5, 0.7, -0.5, 0.6 * cmath.exp(0.5j))
+
+
+@pytest.mark.parametrize("q", LATTICE_QS)
+def test_lattice_sums_match_old_loops(q):
+    ctx = QContext(q=q)
+    rng = random.Random(100 + LATTICE_QS.index(q))
+    outcomes = set()
+    for M in (1, 2, 3):
+        for _ in range(2):
+            bp = sample_balanced(rng, M, ctx)
+            psi = rp_integrand(bp, ctx)
+            for tau in (ctx.q / bp.a[0], ctx.q / bp.a[-1], _rand_unit(rng, 0.5, 1.5)):
+                for new, old in ((jackson_0_to, _old_jackson_0_to),
+                                 (jackson_bilateral, _old_jackson_bilateral)):
+                    ref = _outcome(old, tau, psi, ctx)
+                    assert _outcome(new, tau, psi, ctx) == ref, (new.__name__, M, tau)
+                    outcomes.add(ref if isinstance(ref, type) else "value")
+    for n in (1, 2, 3):
+        a = tuple(_rand_unit(rng, 0.2, 0.9) for _ in range(n))
+        b = tuple(_rand_unit(rng, 0.2, 0.9) for _ in range(n))
+        A, B = _rand_unit(rng, 0.3, 0.9), _rand_unit(rng, 0.3, 0.9)
+        x = _rand_unit(rng, 0.5, 1.0)
+        alpha_power = _rand_unit(rng, 0.3, 0.9)
+        # the bilateral sum converges only for |A prod(a)| < |q^alpha B prod(b)|
+        B = B * 10.0 * abs(A * math.prod(a) / (alpha_power * B * math.prod(b)))
+        for tau in (ctx.q / (A * x), _rand_unit(rng, 0.5, 1.5)):
+            p = JPParams(alpha_power=alpha_power, A=A, B=B, a=a, b=b, tau=tau)
+            ref = _outcome(_old_jp_integral, p, x, ctx)
+            assert _outcome(jp_integral, p, x, ctx) == ref, (n, tau)
+            outcomes.add(ref if isinstance(ref, type) else "value")
+        qlam = _rand_unit(rng, 0.3, 0.95)
+        for j in range(1, n + 1):
+            ref = _outcome(_old_degene_integral, j, a, b, qlam, ctx)
+            assert _outcome(degene_integral, j, a, b, qlam, ctx) == ref, (n, j)
+            outcomes.add(ref if isinstance(ref, type) else "value")
+    assert "value" in outcomes
+
+
+def _side_raises(err, side, new, old, *args):
+    """new and old both raise err; the new message names the side."""
+    with pytest.raises(err):
+        old(*args)
+    with pytest.raises(err) as info:
+        new(*args)
+    assert side in str(info.value)
+
+
+def test_lattice_sum_errors_match_old_loops():
+    ctx = QContext(q=0.7)
+    # the n >= 0 half: f(t) t does not decay
+    _side_raises(NoConvergence, "jackson_0_to", jackson_0_to, _old_jackson_0_to,
+                 0.5, lambda t: 1.0 / t, ctx)
+    _side_raises(NoConvergence, "(n >= 0)", jackson_bilateral, _old_jackson_bilateral,
+                 0.5, lambda t: 1.0 / t, ctx)
+    # the n < 0 half: f(t) t tends to 1
+    _side_raises(NoConvergence, "(n < 0)", jackson_bilateral, _old_jackson_bilateral,
+                 0.5, lambda t: 1.0 / (1.0 + t), ctx)
+    # q^alpha = 0.999: the n >= 0 weights decay too slowly for 1200 points
+    slow = JPParams(alpha_power=0.999, A=0.0, B=1.0, a=(), b=(), tau=1.0)
+    _side_raises(NoConvergence, "(n >= 0)", jp_integral, _old_jp_integral, slow, 1e-250, ctx)
+    # with every product 1 the n < 0 weights grow as 0.9^-n
+    grow = JPParams(alpha_power=0.9, A=0.0, B=1.0, a=(), b=(), tau=1.0)
+    _side_raises(NoConvergence, "(n < 0)", jp_integral, _old_jp_integral, grow, 1e-250, ctx)
+    # ... and as 0.5^-n they overflow
+    burst = JPParams(alpha_power=0.5, A=0.0, B=1.0, a=(), b=(), tau=1.0)
+    _side_raises(NonFinite, "jp_integral", jp_integral, _old_jp_integral, burst, 1e-250, ctx)
+    # q^(lambda + 1) = 0.999
+    _side_raises(NoConvergence, "degene_integral", degene_integral, _old_degene_integral,
+                 1, (0.5,), (0.3,), 0.999 / ctx.q, ctx)
+    inf_below = lambda t: math.inf if abs(t) < 1e-3 else 1.0  # noqa: E731
+    _side_raises(NonFinite, "jackson_0_to", jackson_0_to, _old_jackson_0_to, 0.5, inf_below, ctx)
+    inf_above = lambda t: math.inf if abs(t) > 1e3 else 1.0 / (1.0 + t * t)  # noqa: E731
+    _side_raises(NonFinite, "jackson_bilateral", jackson_bilateral, _old_jackson_bilateral,
+                 0.5, inf_above, ctx)
+
+
+def test_bilateral_negative_half_stalls_against_carried_total():
+    # the n >= 0 half sums to about 2e3 and the n < 0 half to about 1; the
+    # n < 0 half stops once its terms are negligible against the whole sum,
+    # long before they would be against its own
+    K = 1e6
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return K / (1.0 + K * t * t)
+
+    val = jackson_bilateral(1.0, f, CTX)
+    points, seen[:] = seen[:], []
+    assert _bits(val) == _bits(_old_jackson_bilateral(1.0, f, CTX))
+    assert points == seen
+    neg_terms = [f(t) * t for t in points if abs(t) > 1.0]
+    assert abs(neg_terms[-1]) > CTX.rel_tol * max(1.0, abs(sum(neg_terms)))

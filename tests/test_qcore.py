@@ -7,12 +7,14 @@ depend on mpmath at runtime.
 import cmath
 import math
 import random
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhyper.errors import DivisionByZero, DomainError
-from qhyper.qcore import QContext, elem_sym, qpoch_finite, qpoch_infinite, qpoch_multi, theta
+from qhyper.errors import DivisionByZero, DomainError, NoConvergence, PoleHit
+from qhyper.qcore import QContext, elem_sym, qpoch_finite, qpoch_infinite, theta
 
 CTX = QContext(q=0.5)
 
@@ -32,11 +34,16 @@ def test_qpoch_finite_matches_mpmath():
 
 
 def test_qpoch_infinite_matches_mpmath():
-    # truncation at 64 ulps leaves a tail of the same order, so 1e-13 here
+    # the product stops once |a q^j| < 1e-14, leaving a tail of that order, so 1e-13 here
     assert abs(qpoch_infinite(0.3, CTX) - 0.51011782663398757183) < 1e-13
     ctx = QContext(q=0.55 + 0.2j)
     ref = 0.32600941808664581893 - 0.48792596132805105238j
     assert abs(qpoch_infinite(0.4 + 0.25j, ctx) - ref) < 1e-13
+
+
+def test_qpoch_infinite_rejects_unknown_mode():
+    with pytest.raises(DomainError):
+        qpoch_infinite(0.3, CTX, "Zero")
 
 
 def test_qpoch_finite_vs_infinite_ratio():
@@ -45,6 +52,127 @@ def test_qpoch_finite_vs_infinite_ratio():
         fin = qpoch_finite(0.3, l, CTX)
         ratio = qpoch_infinite(0.3, CTX) / qpoch_infinite(0.3 * CTX.q ** l, CTX)
         assert abs(fin - ratio) <= 1e-12 * abs(fin)
+
+
+# ----------------------------------------- (a; q)_inf against the old loops
+#
+# The package once had three (a; q)_inf loops, each testing every factor: a
+# plain one stopping at 64 ulps, and for Jackson integrands a numerator and a
+# denominator loop stopping at 1e-14 that read a factor within 1e-12 of zero
+# as a lattice zero (return 0) or a pole (raise PoleHit).  They are the
+# references of the one kernel that replaced them.
+
+_ULPS64 = 64.0 * sys.float_info.epsilon
+
+
+def _old_qpoch_infinite(a, ctx):
+    prod = 1.0 + 0.0j
+    aq = complex(a)
+    for _ in range(ctx.infinite_product_cutoff):
+        if abs(aq) < _ULPS64:
+            break
+        prod *= 1.0 - aq
+        aq *= ctx.q
+    else:
+        if abs(aq) >= _ULPS64:
+            raise NoConvergence("tail")
+    return prod
+
+
+def _old_poch_inf_num(arg, ctx):
+    prod = 1.0 + 0.0j
+    aq = complex(arg)
+    for _ in range(ctx.infinite_product_cutoff):
+        if abs(aq) < 1e-14:
+            break
+        f = 1.0 - aq
+        if abs(f) < 1e-12:
+            return 0.0 + 0.0j
+        prod *= f
+        aq *= ctx.q
+    else:
+        if abs(aq) >= 1e-14:
+            raise NoConvergence("tail")
+    return prod
+
+
+def _old_poch_inf_den(arg, ctx):
+    prod = 1.0 + 0.0j
+    aq = complex(arg)
+    for _ in range(ctx.infinite_product_cutoff):
+        if abs(aq) < 1e-14:
+            break
+        f = 1.0 - aq
+        if abs(f) < 1e-12:
+            raise PoleHit("pole")
+        prod *= f
+        aq *= ctx.q
+    else:
+        if abs(aq) >= 1e-14:
+            raise NoConvergence("tail")
+    return prod
+
+
+def _outcome(fn, *args):
+    """The value fn returns, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except (NoConvergence, PoleHit) as exc:
+        return type(exc)
+
+
+def _bits(v):
+    """v bit for bit, every NaN alike."""
+    return tuple("nan" if math.isnan(x) else struct.pack("<d", x) for x in (v.real, v.imag))
+
+
+KERNEL_QS = (0.5, 0.7, -0.5, 0.3, 0.6 * cmath.exp(0.5j), 0.9, 0.95j)
+
+
+def _kernel_args(rng, q, count):
+    """|a| log-uniform in [1e-16, 1e12] (a tenth of them real), and a tenth on
+    the lattice q^-k (1 + delta), |delta| <= 2e-12, where one factor comes
+    within 1e-12 of zero or just misses it."""
+    args = [0.0, complex(math.nan, 0.0), 1.0, 1.0 / q, q ** -3]
+    while len(args) < count:
+        u = rng.random()
+        if u < 0.1:
+            delta = cmath.rect(rng.uniform(0.0, 2e-12), rng.uniform(0.0, 2 * math.pi))
+            args.append(q ** -rng.randrange(80) * (1.0 + delta))
+        elif u < 0.2:
+            args.append(rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-16, 12))
+        else:
+            args.append(cmath.rect(10.0 ** rng.uniform(-16, 12), rng.uniform(0.0, 2 * math.pi)))
+    return args
+
+
+@pytest.mark.parametrize("q", KERNEL_QS)
+def test_qpoch_infinite_matches_old_loops(q):
+    # zero and pole modes: bit for bit, same errors.  Plain mode: the cutoff
+    # moved from 64 ulps to 1e-14, which adds the factors with |a q^j| between
+    # the two (one at |q| <= 0.7, up to 7 at |q| = 0.95), each moving the
+    # value by less than 2e-14; NoConvergence is newly raised only where
+    # |a| |q|^cutoff lies between the two cutoffs
+    extra = 1 + int(math.log(1e-14 / _ULPS64) / math.log(abs(q)))
+    args = _kernel_args(random.Random(KERNEL_QS.index(q)), q, 1500)
+    for cutoff in (300, 60):
+        ctx = QContext(q=q, infinite_product_cutoff=cutoff)
+        for a in args:
+            for vanish, old in (("zero", _old_poch_inf_num), ("pole", _old_poch_inf_den)):
+                new, ref = _outcome(qpoch_infinite, a, ctx, vanish), _outcome(old, a, ctx)
+                if isinstance(ref, complex) and isinstance(new, complex):
+                    assert _bits(new) == _bits(ref), (vanish, cutoff, a, new, ref)
+                else:
+                    assert new is ref, (vanish, cutoff, a, new, ref)
+            new, ref = _outcome(qpoch_infinite, a, ctx), _outcome(_old_qpoch_infinite, a, ctx)
+            if isinstance(ref, complex) and isinstance(new, complex):
+                if cmath.isfinite(ref):
+                    assert abs(new - ref) <= extra * 2e-14 * abs(ref), (cutoff, a, new, ref)
+                else:
+                    assert _bits(new) == _bits(ref), (cutoff, a, new, ref)
+            elif new is not ref:
+                assert new is NoConvergence and isinstance(ref, complex), (cutoff, a, new, ref)
+                assert 0.99e-14 <= abs(a) * abs(q) ** cutoff < 1.01 * _ULPS64, (cutoff, a)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -71,14 +199,6 @@ def test_qpoch_negative_index_pole():
     # (q)_{-1} = 1/(1; q)_1 = 1/0
     with pytest.raises(DivisionByZero):
         qpoch_finite(CTX.q, -1, CTX)
-
-
-def test_qpoch_multi():
-    alist = [0.2, 0.4 + 0.1j]
-    val = qpoch_multi(alist, 5, CTX)
-    assert abs(val - qpoch_finite(0.2, 5, CTX) * qpoch_finite(0.4 + 0.1j, 5, CTX)) < 1e-15
-    vinf = qpoch_multi(alist, math.inf, CTX)
-    assert abs(vinf - qpoch_infinite(0.2, CTX) * qpoch_infinite(0.4 + 0.1j, CTX)) < 1e-15
 
 
 def test_theta_matches_mpmath():
