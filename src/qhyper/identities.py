@@ -49,6 +49,7 @@ from .operators import (
     build_three_term,
     independence_check,
     op_apply,
+    point_at,
     residual,
 )
 from .series import (
@@ -252,21 +253,24 @@ def _wnorm_guard(a, b, ctx, zmax=0.7):
     return True
 
 
-def _phi_lattice(bp, i, j, ctx):
-    """phi_{i,j} = int_{q/a_i}^{q/a_j} as a function on the parameter lattice."""
-    M = bp.M
-    base = {"q": ctx.q}
-    for n, v in enumerate(bp.a, start=1):
-        base[f"a{n}"] = v
-    for n, v in enumerate(bp.b, start=1):
-        base[f"b{n}"] = v
+def _ab_lattice(a, b, ctx, fn):
+    """fn(a', b', off) as a memoized function on the lattice of a_1.., b_1..,
+    where a', b' are a, b shifted by the offsets off."""
+    an = [f"a{n}" for n in range(1, len(a) + 1)]
+    bn = [f"b{n}" for n in range(1, len(b) + 1)]
+    base = {"q": ctx.q, **dict(zip(an, a)), **dict(zip(bn, b))}
 
     def ev(off):
-        a = [base[f"a{n}"] * ctx.q ** off.get(f"a{n}", 0) for n in range(1, M + 4)]
-        b = [base[f"b{n}"] * ctx.q ** off.get(f"b{n}", 0) for n in range(1, M + 4)]
-        return rp_integral(BalancedParams(a=tuple(a), b=tuple(b)), i, j, ctx)
+        pt = point_at(base, off)
+        return fn([pt[n] for n in an], [pt[n] for n in bn], off)
 
     return LatticeFunction.cached(base, ev)
+
+
+def _phi_lattice(bp, i, j, ctx):
+    """phi_{i,j} = int_{q/a_i}^{q/a_j} as a function on the parameter lattice."""
+    return _ab_lattice(bp.a, bp.b, ctx, lambda a, b, off: rp_integral(
+        BalancedParams(a=tuple(a), b=tuple(b)), i, j, ctx))
 
 
 # ---------------------------------------------------------------- sections
@@ -361,7 +365,8 @@ def _two43_rhs(p, ctx):
         ctx,
     ) * rphis([a * q / (b * c), d, e, f], [a * q / b, a * q / c, d * e * f / a], q, ctx).require()
     t2 = _pratio(
-        [a * q, a * q / (b * c), d, e, f, a * a * q * q / (b * d * e * f), a * a * q * q / (c * d * e * f)],
+        [a * q, a * q / (b * c), d, e, f,
+         a * a * q * q / (b * d * e * f), a * a * q * q / (c * d * e * f)],
         [a * q / b, a * q / c, a * q / d, a * q / e, a * q / f, z, d * e * f / (a * q)],
         ctx,
     ) * rphis(
@@ -434,7 +439,8 @@ def _kajitrans_propose(rng, M, ctx):
     bs = tuple(_unit(rng) for _ in range(M + N + 2))
     a = _unit(rng)
     c = _unit(rng)
-    mu = a ** (N + 2) * q ** (N + 1) * math.prod(ys) / (c ** (N + 1) * math.prod(bs) * math.prod(xs))
+    mu = a ** (N + 2) * q ** (N + 1) * math.prod(ys) / (
+        c ** (N + 1) * math.prod(bs) * math.prod(xs))
     return {"x": xs, "y": ys, "b": bs, "a": a, "c": c, "mu": mu, "n": n, "N": N}
 
 
@@ -1173,20 +1179,8 @@ def _qrpk_admissible(p, ctx):
 
 
 def _qrpk_function(p, ctx):
-    q = ctx.q
-    M = len(p["a"]) - 3
-    base = {"q": q}
-    for n, v in enumerate(p["a"], start=1):
-        base[f"a{n}"] = v
-    for n, v in enumerate(p["b"], start=1):
-        base[f"b{n}"] = v
-
-    def ev(off):
-        a = [base[f"a{n}"] * q ** off.get(f"a{n}", 0) for n in range(1, M + 4)]
-        b = [base[f"b{n}"] * q ** off.get(f"b{n}", 0) for n in range(1, M + 4)]
-        return W_normalized(BalancedParams(a=tuple(a), b=tuple(b)), ctx).require()
-
-    return [LatticeFunction.cached(base, ev)]
+    return [_ab_lattice(p["a"], p["b"], ctx, lambda a, b, off: W_normalized(
+        BalancedParams(a=tuple(a), b=tuple(b)), ctx).require())]
 
 
 def _qrpi_propose(rng, M, ctx):
@@ -1291,24 +1285,15 @@ def _degene_ops(p, ctx):
 
 
 def _degene_function(p, ctx):
-    q = ctx.q
-    a0, b0, lam, j = list(p["a"]), list(p["b"]), p["lam"], p["j"]
-    M = len(a0) - 1
-    qlam = principal_power(q, lam)
-    base = {"q": q}
-    for i, v in enumerate(a0, 1):
-        base[f"a{i}"] = v
-    for i, v in enumerate(b0, 1):
-        base[f"b{i}"] = v
-    tp0 = principal_power(q / a0[j - 1], lam)
+    lam, j = p["lam"], p["j"]
+    qlam = principal_power(ctx.q, lam)
+    tp0 = principal_power(ctx.q / p["a"][j - 1], lam)
 
-    def ev(off):
-        a = [a0[i] * q ** off.get(f"a{i + 1}", 0) for i in range(M + 1)]
-        b = [b0[i] * q ** off.get(f"b{i + 1}", 0) for i in range(M + 1)]
+    def ev(a, b, off):
         nj = off.get(f"a{j}", 0)
         return degene_integral(j, a, b, qlam, ctx, tau_power=tp0 * qlam ** (-nj))
 
-    return [LatticeFunction.cached(base, ev)]
+    return [_ab_lattice(p["a"], p["b"], ctx, ev)]
 
 
 def _degsol_propose(rng, M, ctx):
@@ -1360,25 +1345,15 @@ def _degsol_function(p, ctx):
     qlp1 = qlam * q
     lam1 = cmath.log(qlp1) / cmath.log(q)
     base_pow = cmath.exp(-lam1 * cmath.log(a0[M]))
-    base = {"q": q}
-    for i, v in enumerate(a0, 1):
-        base[f"a{i}"] = v
-    for i, v in enumerate(b0, 1):
-        base[f"b{i}"] = v
 
-    fns = []
-    for fam in (1, 2, 3):
+    def ev(a, b, off, fam):
+        n = off.get(f"a{M + 1}", 0)
+        return degene_solution(
+            fam, a, b, qlam, ctx, aM1_power=base_pow * qlp1 ** (-n)
+        ).require()
 
-        def ev(off, _fam=fam):
-            a = [a0[i] * q ** off.get(f"a{i + 1}", 0) for i in range(M + 1)]
-            b = [b0[i] * q ** off.get(f"b{i + 1}", 0) for i in range(M + 1)]
-            n = off.get(f"a{M + 1}", 0)
-            return degene_solution(
-                _fam, a, b, qlam, ctx, aM1_power=base_pow * qlp1 ** (-n)
-            ).require()
-
-        fns.append(LatticeFunction.cached(base, ev))
-    return fns
+    return [_ab_lattice(a0, b0, ctx, lambda a, b, off, _f=fam: ev(a, b, off, _f))
+            for fam in (1, 2, 3)]
 
 
 # ----------------------------------------------------------- qAL system

@@ -3,14 +3,36 @@
 An operator is a sum of terms c(p) * T^s where s is an integer shift vector on
 named parameters and the coefficient c is evaluated at the *unshifted* point p
 (the shift applies to the function only).  Points are dicts name -> value that
-always carry the entry 'q'; a lattice offset n on parameter v means v q^n.
+always carry the entry 'q'; a lattice offset n on parameter v means v q^n, and
+q itself is never shifted.  A coefficient is a callable of the point or a
+constant.
 
 LatticeFunction pairs a base point with an evaluator over integer offsets, so
 expensive function values (Jackson integrals, multiple series) can be memoized
 per offset vector while operators probe them.
+
+The builders share a few pieces:
+
+- `_factors(T, count, lead, coeff)` is prod_{i<count} (lead + coeff(pt, i) T),
+  and `_q_factors(T, count)` is prod_{i<count} (1 - q^{-i} T);
+- `_power(name, n)` is the coefficient pt[name]^n and `_esym(k, names)` the
+  elementary symmetric function e_k of the named parameters;
+- `_term_sum` is the alternating sum
+  sum_k (-1)^k x^{d-k} [e_a T^{-1} + e_b] chain(n-k) prod_{i<k-lag} (1 - q^{-i} T)
+  behind E_M, the full Jordan-Pochhammer operator, E_M-hat and its two
+  degenerations E'_M-hat and E''_M-hat, each of which states only its lattice
+  shift, its chain, its bracket (e_a, e_b) and its boundary pieces;
+- `_three_term(name, (s1, v1), (s2, v2), (s3, v3))` is the contiguity relation
+  sum_i (v_{i+1} - v_{i+2}) T^{s_i} (indices mod 3), whose coefficients sum to
+  zero.  Every three-term relation and every two-index relation of the
+  degenerate system is written this way.  Kind 6 and degene6 carry the
+  overall sign this convention gives, the negative of their anti-cyclic form
+  sum_i (v_{i+2} - v_{i+1}) T^{s_i}; an overall sign changes neither the
+  solutions nor the residuals.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +55,7 @@ class LatticeFunction:
         memo = {}
 
         def ev(offsets):
-            key = tuple(sorted((k, v) for k, v in offsets.items() if v))
+            key = _shifts_tuple(offsets)
             if key not in memo:
                 memo[key] = fn(offsets)
             return memo[key]
@@ -57,15 +79,14 @@ def _shifts_tuple(shifts: dict) -> tuple:
     return tuple(sorted((k, v) for k, v in shifts.items() if v))
 
 
+def _no_q_shift(offsets: dict) -> None:
+    if "q" in offsets:
+        raise DomainError("q itself is never shifted")
+
+
 def point_at(base: dict, offsets: dict) -> dict:
-    q = base["q"]
-    pt = dict(base)
-    for k, n in offsets.items():
-        if k == "q":
-            raise DomainError("q itself is never shifted")
-        if n:
-            pt[k] = base[k] * q ** n
-    return pt
+    _no_q_shift(offsets)
+    return _shift_point(base, _shifts_tuple(offsets))
 
 
 def _shift_point(pt: dict, shifts: tuple) -> dict:
@@ -83,14 +104,19 @@ def _merge(offsets: dict, shifts: tuple) -> dict:
     return out
 
 
+def _coeff_fn(c) -> callable:
+    """A coefficient as a callable of the point: c itself, or the constant complex(c)."""
+    return c if callable(c) else (lambda pt, _c=complex(c): _c)
+
+
 def const_op(c, name="") -> ShiftOperator:
-    fn = c if callable(c) else (lambda pt, _c=complex(c): _c)
-    return ShiftOperator(terms=(ShiftTerm(coeff=fn, shifts=()),), name=name)
+    return shift_op({}, c, name)
 
 
 def shift_op(shifts: dict, coeff=1.0, name="") -> ShiftOperator:
-    fn = coeff if callable(coeff) else (lambda pt, _c=complex(coeff): _c)
-    return ShiftOperator(terms=(ShiftTerm(coeff=fn, shifts=_shifts_tuple(shifts)),), name=name)
+    _no_q_shift(shifts)
+    term = ShiftTerm(coeff=_coeff_fn(coeff), shifts=_shifts_tuple(shifts))
+    return ShiftOperator(terms=(term,), name=name)
 
 
 def op_add(*ops, name="") -> ShiftOperator:
@@ -101,17 +127,11 @@ def op_add(*ops, name="") -> ShiftOperator:
 
 
 def op_scale(op: ShiftOperator, c, name="") -> ShiftOperator:
-    if callable(c):
-        terms = tuple(
-            ShiftTerm(coeff=lambda pt, _f=t.coeff, _c=c: _c(pt) * _f(pt), shifts=t.shifts)
-            for t in op.terms
-        )
-    else:
-        c = complex(c)
-        terms = tuple(
-            ShiftTerm(coeff=lambda pt, _f=t.coeff, _c=c: _c * _f(pt), shifts=t.shifts)
-            for t in op.terms
-        )
+    c = _coeff_fn(c)
+    terms = tuple(
+        ShiftTerm(coeff=lambda pt, _f=t.coeff: c(pt) * _f(pt), shifts=t.shifts)
+        for t in op.terms
+    )
     return ShiftOperator(terms=terms, name=name or op.name)
 
 
@@ -181,8 +201,9 @@ def residual(op: ShiftOperator, f: LatticeFunction, offsets) -> tuple:
         sc = 0.0
         for t in op.terms:
             fv = f.eval(_merge(off, t.shifts))
-            val += t.coeff(pt) * fv
-            sc += abs(t.coeff(pt)) * abs(fv)
+            c = t.coeff(pt)
+            val += c * fv
+            sc += abs(c) * abs(fv)
         raw = max(raw, abs(val))
         scale = max(scale, sc)
     if scale == 0.0:
@@ -194,6 +215,79 @@ def residual(op: ShiftOperator, f: LatticeFunction, offsets) -> tuple:
 # operator builders
 # --------------------------------------------------------------------------
 
+_AB = {"a1": 1, "b1": 1}  # T = T_{a_1} T_{b_1} of the hat operators
+
+
+def _names(prefix, n):
+    return [f"{prefix}{i}" for i in range(1, n + 1)]
+
+
+def _factors(T: dict, count: int, lead, coeff) -> ShiftOperator:
+    """prod_{i<count} (lead + coeff(pt, i) T) for the shift T."""
+    return op_product(
+        op_add(const_op(lead), shift_op(T, coeff=lambda pt, _i=i: coeff(pt, _i)))
+        for i in range(count)
+    )
+
+
+def _q_factors(T: dict, count: int) -> ShiftOperator:
+    """prod_{i<count} (1 - q^{-i} T)."""
+    return _factors(T, count, 1.0, lambda pt, i: -pt["q"] ** float(-i))
+
+
+def _ab_chain(count: int) -> ShiftOperator:
+    """prod_{i<count} (1 - (a_1 q^i / b_1) T)."""
+    return _factors(_AB, count, 1.0, lambda pt, i: -pt["a1"] * pt["q"] ** i / pt["b1"])
+
+
+def _power(name: str, n: int) -> ShiftOperator:
+    return const_op(lambda pt: pt[name] ** n)
+
+
+def _esym(k: int, names) -> callable:
+    names = tuple(names)
+    return lambda pt: elem_sym(k, [pt[n] for n in names])
+
+
+def _at(name: str) -> callable:
+    return lambda pt: pt[name]
+
+
+def _three_term(name: str, first, second, third) -> ShiftOperator:
+    """sum_i (v_{i+1} - v_{i+2}) T^{s_i} over the three pairs (s_i, v_i), indices mod 3."""
+    (s1, v1), (s2, v2), (s3, v3) = first, second, third
+    return op_add(
+        shift_op(s1, coeff=lambda pt: v2(pt) - v3(pt)),
+        shift_op(s2, coeff=lambda pt: v3(pt) - v1(pt)),
+        shift_op(s3, coeff=lambda pt: v1(pt) - v2(pt)),
+        name=name,
+    )
+
+
+def _term_sum(x, T, d, n, ks, bracket, chain, lag=1, head=False, tail=None, name=""):
+    """sum over k in ks of (-1)^k x^{d-k} [e_a T^{-1} + e_b] chain(n-k) Q(k-lag),
+    where (e_a, e_b) = bracket(k) and Q(m) = prod_{i<m} (1 - q^{-i} T).
+
+    head puts x^d T^{-1} chain(n) first; tail puts (-1)^{n-1} tail T^{-1} Q(n)
+    last.
+    """
+    Tinv = shift_op({v: -1 for v in T})
+    pieces = [op_product([_power(x, d), Tinv, chain(n)])] if head else []
+    for k in ks:
+        e_a, e_b = bracket(k)
+        br = op_add(op_scale(Tinv, e_a), const_op(e_b))
+        piece = op_product([_power(x, d - k), br, chain(n - k), _q_factors(T, k - lag)])
+        pieces.append(op_scale(piece, (-1.0) ** k))
+    if tail is not None:
+        last = op_product([const_op(tail), Tinv, _q_factors(T, n)])
+        pieces.append(op_scale(last, (-1.0) ** (n - 1)))
+    return op_add(*pieces, name=name)
+
+
+def _ab_lengths(M, a, b, builder):
+    if len(a) != M + 2 or len(b) != M + 2:
+        raise DomainError(f"{builder} needs M+2 entries in a and b")
+
 
 def build_EM(M: int, A, B, a, b) -> ShiftOperator:
     """The order-(M+2) factor E_M of the Jordan-Pochhammer-type equation in x.
@@ -201,42 +295,17 @@ def build_EM(M: int, A, B, a, b) -> ShiftOperator:
     A, B and the lists a = (a_2..a_{M+3}), b = (b_2..b_{M+3}) are numeric
     constants; the lattice variable is named 'x'.
     """
-    if len(a) != M + 2 or len(b) != M + 2:
-        raise DomainError("build_EM needs M+2 entries in a and b")
+    _ab_lengths(M, a, b, "build_EM")
     A, B = complex(A), complex(B)
-    Tinv = shift_op({"x": -1})
-    I = const_op(1.0)
 
-    def BA_prod(count):
-        # prod_{i=0}^{count-1} (B - A q^i T)
-        return op_product(
-            op_add(const_op(B), shift_op({"x": 1}, coeff=lambda pt, _i=i: -A * pt["q"] ** _i))
-            for i in range(count)
-        )
+    def bracket(k):
+        return elem_sym(k, a), lambda pt, _e=elem_sym(k, b): -pt["q"] * _e
 
-    def Q_prod(count):
-        # prod_{i=0}^{count-1} (1 - q^{-i} T)
-        return op_product(
-            op_add(I, shift_op({"x": 1}, coeff=lambda pt, _i=i: -pt["q"] ** float(-_i)))
-            for i in range(count)
-        )
+    def chain(count):  # prod_{i<count} (B - A q^i T)
+        return _factors({"x": 1}, count, B, lambda pt, i: -A * pt["q"] ** i)
 
-    def xpow(n):
-        return const_op(lambda pt, _n=n: pt["x"] ** _n)
-
-    pieces = [op_product([xpow(M + 2), Tinv, BA_prod(M + 1)])]
-    for k in range(1, M + 2):
-        eka = elem_sym(k, a)
-        ekb = elem_sym(k, b)
-        bracket = op_add(
-            op_scale(Tinv, eka),
-            const_op(lambda pt, _e=ekb: -pt["q"] * _e),
-        )
-        piece = op_product([xpow(M + 2 - k), bracket, BA_prod(M + 1 - k), Q_prod(k - 1)])
-        pieces.append(op_scale(piece, (-1.0) ** k))
-    last = op_product([const_op(math.prod(a) / B), Tinv, Q_prod(M + 1)])
-    pieces.append(op_scale(last, (-1.0) ** M))
-    return op_add(*pieces, name=f"E_{M}")
+    return _term_sum("x", {"x": 1}, M + 2, M + 1, range(1, M + 2), bracket, chain,
+                     head=True, tail=math.prod(a) / B, name=f"E_{M}")
 
 
 def build_JP_general(M: int, qalpha, A, B, a, b) -> ShiftOperator:
@@ -247,39 +316,17 @@ def build_JP_general(M: int, qalpha, A, B, a, b) -> ShiftOperator:
     With q^alpha = q and the balance A a_2..a_{M+3} = q^2 B b_2..b_{M+3} this
     factors as (B - A q^{-1} T)(1 - q^{-1-M} T) E_M.
     """
-    if len(a) != M + 2 or len(b) != M + 2:
-        raise DomainError("build_JP_general needs M+2 entries in a and b")
+    _ab_lengths(M, a, b, "build_JP_general")
     A, B, qalpha = complex(A), complex(B), complex(qalpha)
-    Tinv = shift_op({"x": -1})
-    I = const_op(1.0)
 
-    def BA_prod(count):
-        return op_product(
-            op_add(const_op(B), shift_op({"x": 1}, coeff=lambda pt, _i=i: -A * pt["q"] ** _i))
-            for i in range(count)
-        )
+    def bracket(k):
+        return elem_sym(k, a), -qalpha * elem_sym(k, b)
 
-    def Q_prod(count):
-        return op_product(
-            op_add(I, shift_op({"x": 1}, coeff=lambda pt, _i=i: -pt["q"] ** float(-_i)))
-            for i in range(count)
-        )
+    def chain(count):
+        return _factors({"x": 1}, count, B, lambda pt, i: -A * pt["q"] ** i)
 
-    def xpow(n):
-        return const_op(lambda pt, _n=n: pt["x"] ** _n)
-
-    pieces = []
-    for k in range(M + 3):
-        eka = elem_sym(k, a)
-        ekb = elem_sym(k, b)
-        bracket = op_add(op_scale(Tinv, eka), const_op(-qalpha * ekb))
-        piece = op_product([xpow(M + 2 - k), bracket, BA_prod(M + 2 - k), Q_prod(k)])
-        pieces.append(op_scale(piece, (-1.0) ** k))
-    return op_add(*pieces, name=f"JP_{M}")
-
-
-def _names(prefix, n):
-    return [f"{prefix}{i}" for i in range(1, n + 1)]
+    return _term_sum("x", {"x": 1}, M + 2, M + 2, range(M + 3), bracket, chain,
+                     lag=0, name=f"JP_{M}")
 
 
 def build_EM_hat(bp: BalancedParams) -> ShiftOperator:
@@ -287,54 +334,14 @@ def build_EM_hat(bp: BalancedParams) -> ShiftOperator:
     where T = T_{a_1} T_{b_1} and every coefficient reads the (possibly
     shifted) parameter point."""
     M = bp.M
-    an = _names("a", M + 3)
-    bn = _names("b", M + 3)
-    Tinv = shift_op({"a1": -1, "b1": -1})
-    I = const_op(1.0)
+    an, bn = _names("a", M + 3)[1:], _names("b", M + 3)[1:]
 
-    def AB_prod(count):
-        # prod_{i=0}^{count-1} (1 - (a1 q^i / b1) T)
-        return op_product(
-            op_add(
-                I,
-                shift_op(
-                    {"a1": 1, "b1": 1},
-                    coeff=lambda pt, _i=i: -pt["a1"] * pt["q"] ** _i / pt["b1"],
-                ),
-            )
-            for i in range(count)
-        )
+    def bracket(k):
+        return _esym(k, an), lambda pt, _e=_esym(k, bn): -pt["q"] * _e(pt)
 
-    def Q_prod(count):
-        return op_product(
-            op_add(
-                I,
-                shift_op(
-                    {"a1": 1, "b1": 1},
-                    coeff=lambda pt, _i=i: -pt["q"] ** float(-_i),
-                ),
-            )
-            for i in range(count)
-        )
-
-    def b1pow(n):
-        return const_op(lambda pt, _n=n: pt["b1"] ** _n)
-
-    def ek_hat(k, names):
-        return lambda pt, _k=k, _ns=tuple(names): elem_sym(_k, [pt[n] for n in _ns])
-
-    pieces = [op_product([b1pow(M + 2), Tinv, AB_prod(M + 1)])]
-    for k in range(1, M + 2):
-        bracket = op_add(
-            op_scale(Tinv, ek_hat(k, an[1:])),
-            const_op(lambda pt, _e=ek_hat(k, bn[1:]): -pt["q"] * _e(pt)),
-        )
-        piece = op_product([b1pow(M + 2 - k), bracket, AB_prod(M + 1 - k), Q_prod(k - 1)])
-        pieces.append(op_scale(piece, (-1.0) ** k))
-    aprod = const_op(lambda pt: math.prod(pt[n] for n in an[1:]))
-    last = op_product([aprod, Tinv, Q_prod(M + 1)])
-    pieces.append(op_scale(last, (-1.0) ** M))
-    return op_add(*pieces, name=f"Ehat_{M}")
+    return _term_sum("b1", _AB, M + 2, M + 1, range(1, M + 2), bracket, _ab_chain,
+                     head=True, tail=lambda pt: math.prod(pt[n] for n in an),
+                     name=f"Ehat_{M}")
 
 
 def build_three_term(kind: int, k: int, l, bp: BalancedParams) -> ShiftOperator:
@@ -343,168 +350,87 @@ def build_three_term(kind: int, k: int, l, bp: BalancedParams) -> ShiftOperator:
     k (and l where applicable) are 1-based parameter indices in 2..M+3; kinds
     2 and 4 involve only k, and l is ignored there.
     """
-    M = bp.M
-    hi = M + 3
+    hi = bp.M + 3
     if not 2 <= k <= hi:
         raise IndexError(f"k must lie in 2..{hi}")
     if kind in (1, 3, 5, 6):
         if l is None or not 2 <= l <= hi or l == k:
             raise IndexError(f"l must lie in 2..{hi} and differ from k")
-    ak, al = f"a{k}", f"a{l}" if l else None
-    bk, bl = f"b{k}", f"b{l}" if l else None
-    name = f"3term{kind}[{k},{l}]" if kind in (1, 3, 5, 6) else f"3term{kind}[{k}]"
-
+        name = f"3term{kind}[{k},{l}]"
+    else:
+        name = f"3term{kind}[{k}]"
+    ak, al, bk, bl = f"a{k}", f"a{l}", f"b{k}", f"b{l}"
     if kind == 1:
-        return op_add(
-            shift_op({ak: 1, al: -1}, coeff=lambda pt: pt["a1"] - pt[ak] * pt["q"]),
-            shift_op({ak: 1, "a1": -1}, coeff=lambda pt: -(pt[al] - pt[ak] * pt["q"])),
-            const_op(lambda pt: pt[al] - pt["a1"]),
-            name=name,
-        )
+        return _three_term(name, ({ak: 1, al: -1}, _at(al)), ({ak: 1, "a1": -1}, _at("a1")),
+                           ({}, lambda pt: pt[ak] * pt["q"]))
     if kind == 2:
-        return op_add(
-            shift_op({"a1": 1, ak: -1}, coeff=lambda pt: pt["b1"] - pt["a1"]),
-            shift_op({"a1": 1, "b1": 1}, coeff=lambda pt: -(pt[ak] / pt["q"] - pt["a1"])),
-            const_op(lambda pt: pt[ak] / pt["q"] - pt["b1"]),
-            name=name,
-        )
+        return _three_term(name, ({"a1": 1, ak: -1}, lambda pt: pt[ak] / pt["q"]),
+                           ({"a1": 1, "b1": 1}, _at("b1")), ({}, _at("a1")))
     if kind == 3:
-        return op_add(
-            shift_op({bk: 1, bl: -1}, coeff=lambda pt: pt["b1"] - pt[bl] / pt["q"]),
-            shift_op({"b1": 1, bl: -1}, coeff=lambda pt: -(pt[bk] - pt[bl] / pt["q"])),
-            const_op(lambda pt: pt[bk] - pt["b1"]),
-            name=name,
-        )
+        return _three_term(name, ({bk: 1, bl: -1}, _at(bk)), ({"b1": 1, bl: -1}, _at("b1")),
+                           ({}, lambda pt: pt[bl] / pt["q"]))
     if kind == 4:
-        return op_add(
-            shift_op({bk: 1, "b1": -1}, coeff=lambda pt: pt["a1"] - pt["b1"]),
-            shift_op({"a1": -1, "b1": -1}, coeff=lambda pt: -(pt[bk] * pt["q"] - pt["b1"])),
-            const_op(lambda pt: pt[bk] * pt["q"] - pt["a1"]),
-            name=name,
-        )
+        return _three_term(name, ({bk: 1, "b1": -1}, lambda pt: pt[bk] * pt["q"]),
+                           ({"a1": -1, "b1": -1}, _at("a1")), ({}, _at("b1")))
     if kind == 5:
-        return op_add(
-            shift_op({ak: 1, bl: 1}, coeff=lambda pt: pt["b1"] - pt[ak]),
-            shift_op({ak: 1, "b1": 1}, coeff=lambda pt: -(pt[bl] - pt[ak])),
-            const_op(lambda pt: pt[bl] - pt["b1"]),
-            name=name,
-        )
+        return _three_term(name, ({ak: 1, bl: 1}, _at(bl)), ({ak: 1, "b1": 1}, _at("b1")),
+                           ({}, _at(ak)))
     if kind == 6:
-        return op_add(
-            shift_op({ak: -1, bl: -1}, coeff=lambda pt: pt[bl] - pt["a1"]),
-            shift_op({"a1": -1, bl: -1}, coeff=lambda pt: -(pt[bl] - pt[ak])),
-            const_op(lambda pt: pt["a1"] - pt[ak]),
-            name=name,
-        )
+        return _three_term(name, ({ak: -1, bl: -1}, _at(ak)), ({"a1": -1, bl: -1}, _at("a1")),
+                           ({}, _at(bl)))
     raise IndexError(f"unknown three-term kind {kind}")
+
+
+def _scaling(n: int, coeff, name: str) -> ShiftOperator:
+    """coeff T_{a_1}...T_{a_n} T_{b_1}...T_{b_n} - 1."""
+    shifts = {v: 1 for v in _names("a", n) + _names("b", n)}
+    return op_add(shift_op(shifts, coeff=coeff), const_op(-1.0), name=name)
 
 
 def build_scaling_relation(bp: BalancedParams) -> ShiftOperator:
     """q T_{a_1}...T_{a_{M+3}} T_{b_1}...T_{b_{M+3}} - 1."""
-    M = bp.M
-    shifts = {n: 1 for n in _names("a", M + 3) + _names("b", M + 3)}
-    return op_add(
-        shift_op(shifts, coeff=lambda pt: pt["q"]),
-        const_op(-1.0),
-        name="scaling",
-    )
+    return _scaling(bp.M + 3, lambda pt: pt["q"], "scaling")
+
+
+def _hat_limit(M: int, qlambda, n: int, tail: bool, name: str) -> ShiftOperator:
+    """sum_{k=1}^{M+1} (-1)^k b_1^{n-k} [e_{k-1}(a_2..a_n) T^{-1} - q^{lambda+1}
+    e_{k-1}(b_2..b_n)] chain(M+1-k) Q(k-1), with the E_M-hat tail if asked."""
+    an, bn = _names("a", n)[1:], _names("b", n)[1:]
+    qlam = complex(qlambda)
+
+    def bracket(k):
+        return _esym(k - 1, an), lambda pt, _e=_esym(k - 1, bn): -qlam * pt["q"] * _e(pt)
+
+    last = (lambda pt: math.prod(pt[v] for v in an)) if tail else None
+    return _term_sum("b1", _AB, n, M + 1, range(1, M + 2), bracket, _ab_chain,
+                     tail=last, name=name)
 
 
 def build_EM_hat_prime(M: int, qlambda) -> ShiftOperator:
     """First degeneration of E_M-hat: the a_{M+3} -> infinity limit of
     (1/a_{M+3}) E_M-hat on the lattice a_1..a_{M+2}, b_1..b_{M+2}."""
-    an = _names("a", M + 2)
-    bn = _names("b", M + 2)
-    Tinv = shift_op({"a1": -1, "b1": -1})
-    I = const_op(1.0)
-    qlp1 = complex(qlambda)
-
-    def AB_prod(count):
-        return op_product(
-            op_add(
-                I,
-                shift_op(
-                    {"a1": 1, "b1": 1},
-                    coeff=lambda pt, _i=i: -pt["a1"] * pt["q"] ** _i / pt["b1"],
-                ),
-            )
-            for i in range(count)
-        )
-
-    def Q_prod(count):
-        return op_product(
-            op_add(
-                I,
-                shift_op({"a1": 1, "b1": 1}, coeff=lambda pt, _i=i: -pt["q"] ** float(-_i)),
-            )
-            for i in range(count)
-        )
-
-    def b1pow(n):
-        return const_op(lambda pt, _n=n: pt["b1"] ** _n)
-
-    def ek(knum, names):
-        return lambda pt, _k=knum, _ns=tuple(names): elem_sym(_k, [pt[n] for n in _ns])
-
-    pieces = []
-    for k in range(1, M + 2):
-        bracket = op_add(
-            op_scale(Tinv, ek(k - 1, an[1:])),
-            const_op(lambda pt, _e=ek(k - 1, bn[1:]): -qlp1 * pt["q"] * _e(pt)),
-        )
-        piece = op_product([b1pow(M + 2 - k), bracket, AB_prod(M + 1 - k), Q_prod(k - 1)])
-        pieces.append(op_scale(piece, (-1.0) ** k))
-    aprod = const_op(lambda pt: math.prod(pt[n] for n in an[1:]))
-    last = op_product([aprod, Tinv, Q_prod(M + 1)])
-    pieces.append(op_scale(last, (-1.0) ** M))
-    return op_add(*pieces, name=f"Ehat'_{M}")
+    return _hat_limit(M, qlambda, M + 2, True, f"Ehat'_{M}")
 
 
 def build_EM_hat_dprime(M: int, qlambda) -> ShiftOperator:
     """Second degeneration: the a_{M+2} -> 0 limit of E'_M-hat divided by b_1,
     on the lattice a_1..a_{M+1}, b_1..b_{M+1}.  No trailing group survives."""
-    an = _names("a", M + 1)
-    bn = _names("b", M + 1)
-    Tinv = shift_op({"a1": -1, "b1": -1})
-    I = const_op(1.0)
-    qlp1 = complex(qlambda)
+    return _hat_limit(M, qlambda, M + 1, False, f"Ehat''_{M}")
 
-    def AB_prod(count):
-        return op_product(
-            op_add(
-                I,
-                shift_op(
-                    {"a1": 1, "b1": 1},
-                    coeff=lambda pt, _i=i: -pt["a1"] * pt["q"] ** _i / pt["b1"],
-                ),
-            )
-            for i in range(count)
-        )
 
-    def Q_prod(count):
-        return op_product(
-            op_add(
-                I,
-                shift_op({"a1": 1, "b1": 1}, coeff=lambda pt, _i=i: -pt["q"] ** float(-_i)),
-            )
-            for i in range(count)
-        )
-
-    def b1pow(n):
-        return const_op(lambda pt, _n=n: pt["b1"] ** _n)
-
-    def ek(knum, names):
-        return lambda pt, _k=knum, _ns=tuple(names): elem_sym(_k, [pt[n] for n in _ns])
-
-    pieces = []
-    for k in range(1, M + 2):
-        bracket = op_add(
-            op_scale(Tinv, ek(k - 1, an[1:])),
-            const_op(lambda pt, _e=ek(k - 1, bn[1:]): -qlp1 * pt["q"] * _e(pt)),
-        )
-        piece = op_product([b1pow(M + 1 - k), bracket, AB_prod(M + 1 - k), Q_prod(k - 1)])
-        pieces.append(op_scale(piece, (-1.0) ** k))
-    return op_add(*pieces, name=f"Ehat''_{M}")
+def _degene_relations(k: int, l: int) -> list:
+    """The four two-index relations of the degenerate system for the pair (k, l)."""
+    ak, al, bk, bl = f"a{k}", f"a{l}", f"b{k}", f"b{l}"
+    return [
+        _three_term(f"degene1[{k},{l}]", ({al: -1}, _at(al)), ({"a1": -1}, _at("a1")),
+                    ({ak: -1}, _at(ak))),
+        _three_term(f"degene4[{k},{l}]", ({bk: 1}, _at(bk)), ({"b1": 1}, _at("b1")),
+                    ({bl: 1}, _at(bl))),
+        _three_term(f"degene5[{k},{l}]", ({bl: 1}, _at(bl)), ({"b1": 1}, _at("b1")),
+                    ({ak: -1}, lambda pt: pt[ak] / pt["q"])),
+        _three_term(f"degene6[{k},{l}]", ({ak: -1}, _at(ak)), ({"a1": -1}, _at("a1")),
+                    ({bl: 1}, lambda pt: pt["q"] * pt[bl])),
+    ]
 
 
 def build_degene_system(M: int, qlambda) -> list:
@@ -514,69 +440,10 @@ def build_degene_system(M: int, qlambda) -> list:
     leaving the degenerate equation and the scaling relation.
     """
     ops = [build_EM_hat_dprime(M, qlambda)]
-    rng = range(2, M + 2)
-    for k in rng:
-        for l in rng:
-            if k == l:
-                continue
-            ak, al = f"a{k}", f"a{l}"
-            bk, bl = f"b{k}", f"b{l}"
-            ops.append(
-                op_add(
-                    shift_op({al: -1}, coeff=lambda pt, _ak=ak: pt["a1"] - pt[_ak]),
-                    shift_op(
-                        {"a1": -1},
-                        coeff=lambda pt, _ak=ak, _al=al: -(pt[_al] - pt[_ak]),
-                    ),
-                    shift_op({ak: -1}, coeff=lambda pt, _al=al: pt[_al] - pt["a1"]),
-                    name=f"degene1[{k},{l}]",
-                )
-            )
-            ops.append(
-                op_add(
-                    shift_op({bk: 1}, coeff=lambda pt, _bl=bl: pt["b1"] - pt[_bl]),
-                    shift_op(
-                        {"b1": 1},
-                        coeff=lambda pt, _bk=bk, _bl=bl: -(pt[_bk] - pt[_bl]),
-                    ),
-                    shift_op({bl: 1}, coeff=lambda pt, _bk=bk: pt[_bk] - pt["b1"]),
-                    name=f"degene4[{k},{l}]",
-                )
-            )
-            ops.append(
-                op_add(
-                    shift_op({bl: 1}, coeff=lambda pt, _ak=ak: pt["b1"] - pt[_ak] / pt["q"]),
-                    shift_op(
-                        {"b1": 1},
-                        coeff=lambda pt, _ak=ak, _bl=bl: -(pt[_bl] - pt[_ak] / pt["q"]),
-                    ),
-                    shift_op({ak: -1}, coeff=lambda pt, _bl=bl: pt[_bl] - pt["b1"]),
-                    name=f"degene5[{k},{l}]",
-                )
-            )
-            ops.append(
-                op_add(
-                    shift_op(
-                        {ak: -1},
-                        coeff=lambda pt, _bl=bl: pt["q"] * pt[_bl] - pt["a1"],
-                    ),
-                    shift_op(
-                        {"a1": -1},
-                        coeff=lambda pt, _ak=ak, _bl=bl: -(pt["q"] * pt[_bl] - pt[_ak]),
-                    ),
-                    shift_op({bl: 1}, coeff=lambda pt, _ak=ak: pt["a1"] - pt[_ak]),
-                    name=f"degene6[{k},{l}]",
-                )
-            )
-    shifts = {n: 1 for n in _names("a", M + 1) + _names("b", M + 1)}
-    qlp1 = complex(qlambda)
-    ops.append(
-        op_add(
-            shift_op(shifts, coeff=lambda pt: qlp1 * pt["q"]),
-            const_op(-1.0),
-            name="degene-scaling",
-        )
-    )
+    for k, l in itertools.permutations(range(2, M + 2), 2):
+        ops += _degene_relations(k, l)
+    qlam = complex(qlambda)
+    ops.append(_scaling(M + 1, lambda pt: qlam * pt["q"], "degene-scaling"))
     return ops
 
 

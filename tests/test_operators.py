@@ -2,11 +2,12 @@ import cmath
 import itertools
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
-from qhyper.qcore import QContext
+from qhyper.qcore import QContext, elem_sym
 from qhyper.errors import DomainError
 from qhyper.jackson import (
     BalancedParams,
@@ -34,7 +35,9 @@ from qhyper.operators import (
     op_add,
     op_apply,
     op_multiply,
+    op_product,
     op_scale,
+    point_at,
     residual,
     shift_op,
 )
@@ -552,3 +555,363 @@ def test_independence_closed_form():
             want = Q * (ai - aM3) / ((ai - x * Q) * (aM3 - x * Q))
             assert rel(got, want) <= 1e-10
         assert independence_check(bp, CTX)
+
+
+# ------------------------------------------------ builders vs the old builders
+#
+# Each builder used to carry its own copies of the factor chains, powers and
+# elementary symmetric functions, and each three-term relation was written out
+# by hand.  Those builders are the references of the shared term sum and
+# three-term helper: same shifts in the same order, coefficients equal bit for
+# bit.  Kind 6 and degene6 come out exactly negated (anti-cyclic in the old
+# form), which leaves every residual unchanged.
+
+
+def _old_build_EM(M, A, B, a, b):
+    A, B = complex(A), complex(B)
+    Tinv = shift_op({"x": -1})
+    I = const_op(1.0)
+
+    def BA_prod(count):
+        return op_product(
+            op_add(const_op(B), shift_op({"x": 1}, coeff=lambda pt, _i=i: -A * pt["q"] ** _i))
+            for i in range(count)
+        )
+
+    def Q_prod(count):
+        return op_product(
+            op_add(I, shift_op({"x": 1}, coeff=lambda pt, _i=i: -pt["q"] ** float(-_i)))
+            for i in range(count)
+        )
+
+    def xpow(n):
+        return const_op(lambda pt, _n=n: pt["x"] ** _n)
+
+    pieces = [op_product([xpow(M + 2), Tinv, BA_prod(M + 1)])]
+    for k in range(1, M + 2):
+        eka = elem_sym(k, a)
+        ekb = elem_sym(k, b)
+        bracket = op_add(op_scale(Tinv, eka), const_op(lambda pt, _e=ekb: -pt["q"] * _e))
+        piece = op_product([xpow(M + 2 - k), bracket, BA_prod(M + 1 - k), Q_prod(k - 1)])
+        pieces.append(op_scale(piece, (-1.0) ** k))
+    last = op_product([const_op(math.prod(a) / B), Tinv, Q_prod(M + 1)])
+    pieces.append(op_scale(last, (-1.0) ** M))
+    return op_add(*pieces, name=f"E_{M}")
+
+
+def _old_build_JP_general(M, qalpha, A, B, a, b):
+    A, B, qalpha = complex(A), complex(B), complex(qalpha)
+    Tinv = shift_op({"x": -1})
+    I = const_op(1.0)
+
+    def BA_prod(count):
+        return op_product(
+            op_add(const_op(B), shift_op({"x": 1}, coeff=lambda pt, _i=i: -A * pt["q"] ** _i))
+            for i in range(count)
+        )
+
+    def Q_prod(count):
+        return op_product(
+            op_add(I, shift_op({"x": 1}, coeff=lambda pt, _i=i: -pt["q"] ** float(-_i)))
+            for i in range(count)
+        )
+
+    def xpow(n):
+        return const_op(lambda pt, _n=n: pt["x"] ** _n)
+
+    pieces = []
+    for k in range(M + 3):
+        eka = elem_sym(k, a)
+        ekb = elem_sym(k, b)
+        bracket = op_add(op_scale(Tinv, eka), const_op(-qalpha * ekb))
+        piece = op_product([xpow(M + 2 - k), bracket, BA_prod(M + 2 - k), Q_prod(k)])
+        pieces.append(op_scale(piece, (-1.0) ** k))
+    return op_add(*pieces, name=f"JP_{M}")
+
+
+def _old_names(prefix, n):
+    return [f"{prefix}{i}" for i in range(1, n + 1)]
+
+
+def _old_hat_parts():
+    Tinv = shift_op({"a1": -1, "b1": -1})
+    I = const_op(1.0)
+
+    def AB_prod(count):
+        return op_product(
+            op_add(
+                I,
+                shift_op(
+                    {"a1": 1, "b1": 1},
+                    coeff=lambda pt, _i=i: -pt["a1"] * pt["q"] ** _i / pt["b1"],
+                ),
+            )
+            for i in range(count)
+        )
+
+    def Q_prod(count):
+        return op_product(
+            op_add(I, shift_op({"a1": 1, "b1": 1}, coeff=lambda pt, _i=i: -pt["q"] ** float(-_i)))
+            for i in range(count)
+        )
+
+    def b1pow(n):
+        return const_op(lambda pt, _n=n: pt["b1"] ** _n)
+
+    def ek(k, names):
+        return lambda pt, _k=k, _ns=tuple(names): elem_sym(_k, [pt[n] for n in _ns])
+
+    return Tinv, AB_prod, Q_prod, b1pow, ek
+
+
+def _old_build_EM_hat(bp):
+    M = bp.M
+    an = _old_names("a", M + 3)
+    bn = _old_names("b", M + 3)
+    Tinv, AB_prod, Q_prod, b1pow, ek_hat = _old_hat_parts()
+    pieces = [op_product([b1pow(M + 2), Tinv, AB_prod(M + 1)])]
+    for k in range(1, M + 2):
+        bracket = op_add(
+            op_scale(Tinv, ek_hat(k, an[1:])),
+            const_op(lambda pt, _e=ek_hat(k, bn[1:]): -pt["q"] * _e(pt)),
+        )
+        piece = op_product([b1pow(M + 2 - k), bracket, AB_prod(M + 1 - k), Q_prod(k - 1)])
+        pieces.append(op_scale(piece, (-1.0) ** k))
+    aprod = const_op(lambda pt: math.prod(pt[n] for n in an[1:]))
+    last = op_product([aprod, Tinv, Q_prod(M + 1)])
+    pieces.append(op_scale(last, (-1.0) ** M))
+    return op_add(*pieces, name=f"Ehat_{M}")
+
+
+def _old_build_EM_hat_prime(M, qlambda):
+    an = _old_names("a", M + 2)
+    bn = _old_names("b", M + 2)
+    Tinv, AB_prod, Q_prod, b1pow, ek = _old_hat_parts()
+    qlp1 = complex(qlambda)
+    pieces = []
+    for k in range(1, M + 2):
+        bracket = op_add(
+            op_scale(Tinv, ek(k - 1, an[1:])),
+            const_op(lambda pt, _e=ek(k - 1, bn[1:]): -qlp1 * pt["q"] * _e(pt)),
+        )
+        piece = op_product([b1pow(M + 2 - k), bracket, AB_prod(M + 1 - k), Q_prod(k - 1)])
+        pieces.append(op_scale(piece, (-1.0) ** k))
+    aprod = const_op(lambda pt: math.prod(pt[n] for n in an[1:]))
+    last = op_product([aprod, Tinv, Q_prod(M + 1)])
+    pieces.append(op_scale(last, (-1.0) ** M))
+    return op_add(*pieces, name=f"Ehat'_{M}")
+
+
+def _old_build_EM_hat_dprime(M, qlambda):
+    an = _old_names("a", M + 1)
+    bn = _old_names("b", M + 1)
+    Tinv, AB_prod, Q_prod, b1pow, ek = _old_hat_parts()
+    qlp1 = complex(qlambda)
+    pieces = []
+    for k in range(1, M + 2):
+        bracket = op_add(
+            op_scale(Tinv, ek(k - 1, an[1:])),
+            const_op(lambda pt, _e=ek(k - 1, bn[1:]): -qlp1 * pt["q"] * _e(pt)),
+        )
+        piece = op_product([b1pow(M + 1 - k), bracket, AB_prod(M + 1 - k), Q_prod(k - 1)])
+        pieces.append(op_scale(piece, (-1.0) ** k))
+    return op_add(*pieces, name=f"Ehat''_{M}")
+
+
+def _old_build_three_term(kind, k, l, bp):
+    ak, al = f"a{k}", f"a{l}" if l else None
+    bk, bl = f"b{k}", f"b{l}" if l else None
+    name = f"3term{kind}[{k},{l}]" if kind in (1, 3, 5, 6) else f"3term{kind}[{k}]"
+    if kind == 1:
+        return op_add(
+            shift_op({ak: 1, al: -1}, coeff=lambda pt: pt["a1"] - pt[ak] * pt["q"]),
+            shift_op({ak: 1, "a1": -1}, coeff=lambda pt: -(pt[al] - pt[ak] * pt["q"])),
+            const_op(lambda pt: pt[al] - pt["a1"]),
+            name=name,
+        )
+    if kind == 2:
+        return op_add(
+            shift_op({"a1": 1, ak: -1}, coeff=lambda pt: pt["b1"] - pt["a1"]),
+            shift_op({"a1": 1, "b1": 1}, coeff=lambda pt: -(pt[ak] / pt["q"] - pt["a1"])),
+            const_op(lambda pt: pt[ak] / pt["q"] - pt["b1"]),
+            name=name,
+        )
+    if kind == 3:
+        return op_add(
+            shift_op({bk: 1, bl: -1}, coeff=lambda pt: pt["b1"] - pt[bl] / pt["q"]),
+            shift_op({"b1": 1, bl: -1}, coeff=lambda pt: -(pt[bk] - pt[bl] / pt["q"])),
+            const_op(lambda pt: pt[bk] - pt["b1"]),
+            name=name,
+        )
+    if kind == 4:
+        return op_add(
+            shift_op({bk: 1, "b1": -1}, coeff=lambda pt: pt["a1"] - pt["b1"]),
+            shift_op({"a1": -1, "b1": -1}, coeff=lambda pt: -(pt[bk] * pt["q"] - pt["b1"])),
+            const_op(lambda pt: pt[bk] * pt["q"] - pt["a1"]),
+            name=name,
+        )
+    if kind == 5:
+        return op_add(
+            shift_op({ak: 1, bl: 1}, coeff=lambda pt: pt["b1"] - pt[ak]),
+            shift_op({ak: 1, "b1": 1}, coeff=lambda pt: -(pt[bl] - pt[ak])),
+            const_op(lambda pt: pt[bl] - pt["b1"]),
+            name=name,
+        )
+    assert kind == 6
+    return op_add(
+        shift_op({ak: -1, bl: -1}, coeff=lambda pt: pt[bl] - pt["a1"]),
+        shift_op({"a1": -1, bl: -1}, coeff=lambda pt: -(pt[bl] - pt[ak])),
+        const_op(lambda pt: pt["a1"] - pt[ak]),
+        name=name,
+    )
+
+
+def _old_build_scaling_relation(bp):
+    shifts = {n: 1 for n in _old_names("a", bp.M + 3) + _old_names("b", bp.M + 3)}
+    return op_add(shift_op(shifts, coeff=lambda pt: pt["q"]), const_op(-1.0), name="scaling")
+
+
+def _old_build_degene_system(M, qlambda):
+    ops = [_old_build_EM_hat_dprime(M, qlambda)]
+    rng = range(2, M + 2)
+    for k in rng:
+        for l in rng:
+            if k == l:
+                continue
+            ak, al = f"a{k}", f"a{l}"
+            bk, bl = f"b{k}", f"b{l}"
+            ops.append(op_add(
+                shift_op({al: -1}, coeff=lambda pt, _ak=ak: pt["a1"] - pt[_ak]),
+                shift_op({"a1": -1}, coeff=lambda pt, _ak=ak, _al=al: -(pt[_al] - pt[_ak])),
+                shift_op({ak: -1}, coeff=lambda pt, _al=al: pt[_al] - pt["a1"]),
+                name=f"degene1[{k},{l}]",
+            ))
+            ops.append(op_add(
+                shift_op({bk: 1}, coeff=lambda pt, _bl=bl: pt["b1"] - pt[_bl]),
+                shift_op({"b1": 1}, coeff=lambda pt, _bk=bk, _bl=bl: -(pt[_bk] - pt[_bl])),
+                shift_op({bl: 1}, coeff=lambda pt, _bk=bk: pt[_bk] - pt["b1"]),
+                name=f"degene4[{k},{l}]",
+            ))
+            ops.append(op_add(
+                shift_op({bl: 1}, coeff=lambda pt, _ak=ak: pt["b1"] - pt[_ak] / pt["q"]),
+                shift_op(
+                    {"b1": 1},
+                    coeff=lambda pt, _ak=ak, _bl=bl: -(pt[_bl] - pt[_ak] / pt["q"]),
+                ),
+                shift_op({ak: -1}, coeff=lambda pt, _bl=bl: pt[_bl] - pt["b1"]),
+                name=f"degene5[{k},{l}]",
+            ))
+            ops.append(op_add(
+                shift_op({ak: -1}, coeff=lambda pt, _bl=bl: pt["q"] * pt[_bl] - pt["a1"]),
+                shift_op(
+                    {"a1": -1},
+                    coeff=lambda pt, _ak=ak, _bl=bl: -(pt["q"] * pt[_bl] - pt[_ak]),
+                ),
+                shift_op({bl: 1}, coeff=lambda pt, _ak=ak: pt["a1"] - pt[_ak]),
+                name=f"degene6[{k},{l}]",
+            ))
+    shifts = {n: 1 for n in _old_names("a", M + 1) + _old_names("b", M + 1)}
+    qlp1 = complex(qlambda)
+    ops.append(op_add(
+        shift_op(shifts, coeff=lambda pt: qlp1 * pt["q"]), const_op(-1.0), name="degene-scaling"
+    ))
+    return ops
+
+
+def _bits(v):
+    v = complex(v)
+    return struct.pack("<dd", v.real, v.imag)
+
+
+def _seeded_lattice_fn(seed, base):
+    """A memoized function whose value at each offset is drawn from (seed, offset)."""
+    def ev(off):
+        r = random.Random(f"{seed}:{sorted(off.items())}")
+        return complex(r.uniform(-1, 1), r.uniform(-1, 1))
+
+    return LatticeFunction.cached(base, ev)
+
+
+def _builder_pairs(rng, M, q):
+    """(new operator, old operator) for every builder at one seeded draw."""
+    A, B, qal = rand_unit(rng), rand_unit(rng), rand_unit(rng)
+    a = [rand_unit(rng) for _ in range(M + 2)]
+    b = [rand_unit(rng) for _ in range(M + 2)]
+    bp = BalancedParams(a=tuple(rand_unit(rng) for _ in range(M + 3)),
+                        b=tuple(rand_unit(rng) for _ in range(M + 3)))
+    qlam = rand_unit(rng, 0.2, 0.9)
+    pairs = [
+        (build_EM(M, A, B, a, b), _old_build_EM(M, A, B, a, b)),
+        (build_JP_general(M, qal, A, B, a, b), _old_build_JP_general(M, qal, A, B, a, b)),
+        (build_EM_hat(bp), _old_build_EM_hat(bp)),
+        (build_EM_hat_prime(M, qlam), _old_build_EM_hat_prime(M, qlam)),
+        (build_EM_hat_dprime(M, qlam), _old_build_EM_hat_dprime(M, qlam)),
+        (build_scaling_relation(bp), _old_build_scaling_relation(bp)),
+    ]
+    hi = M + 3
+    for kind in (1, 3, 5, 6):
+        for k, l in itertools.permutations(range(2, hi + 1), 2):
+            pairs.append((build_three_term(kind, k, l, bp), _old_build_three_term(kind, k, l, bp)))
+    for kind in (2, 4):
+        for k in range(2, hi + 1):
+            pairs.append((build_three_term(kind, k, None, bp),
+                          _old_build_three_term(kind, k, None, bp)))
+    new_deg, old_deg = build_degene_system(M, qlam), _old_build_degene_system(M, qlam)
+    assert len(new_deg) == len(old_deg)
+    pairs.extend(zip(new_deg, old_deg))
+    return pairs
+
+
+@pytest.mark.parametrize("q", [0.5, 0.7, -0.5, 0.6 * cmath.exp(0.5j)])
+def test_builders_match_old_builders(q):
+    q = complex(q)
+    rng = random.Random(f"builders:{q}")
+    terms = 0
+    for M in (1, 2, 3):
+        pairs = _builder_pairs(rng, M, q)
+        base = {"q": q, "x": rand_unit(rng)}
+        for n in range(1, M + 4):
+            base[f"a{n}"], base[f"b{n}"] = rand_unit(rng), rand_unit(rng)
+        points = [base, point_at(base, {"x": 2, "a1": -1, "b1": 1, "a2": 3, "b3": -2})]
+        offsets = [{}, {"x": 1, "a1": 1, "b1": 1}, {"a2": -1, "b2": 2}]
+        for seed, (new, old) in enumerate(pairs):
+            assert new.name == old.name
+            assert [t.shifts for t in new.terms] == [t.shifts for t in old.terms], new.name
+            negated = new.name.startswith(("3term6", "degene6"))
+            for pt in points:
+                for tn, to in zip(new.terms, old.terms):
+                    ref = -to.coeff(pt) if negated else to.coeff(pt)
+                    assert _bits(tn.coeff(pt)) == _bits(ref), (new.name, tn.shifts)
+            f = _seeded_lattice_fn(seed, base)
+            assert residual(new, f, offsets) == residual(old, f, offsets), new.name
+            terms += len(new.terms)
+    assert terms > 700  # 714 terms over M = 1..3
+
+
+def test_shift_op_and_point_at_reject_q_shifts():
+    with pytest.raises(DomainError):
+        shift_op({"q": 1})
+    with pytest.raises(DomainError):
+        shift_op({"x": 1, "q": -2}, coeff=lambda pt: pt["x"])
+    with pytest.raises(DomainError):
+        point_at({"q": Q, "x": 0.3}, {"q": 1})
+    f = LatticeFunction(base={"q": Q, "x": 0.3}, eval=lambda off: 1.0)
+    with pytest.raises(DomainError):
+        op_apply(const_op(1.0), f, {"q": 1})
+
+
+def test_builder_length_errors():
+    a, b = [0.3, 0.4, 0.5], [0.6, 0.7, 0.8]
+    with pytest.raises(DomainError):
+        build_EM(2, 0.5, 0.6, a, b)  # M + 2 = 4 entries needed
+    with pytest.raises(DomainError):
+        build_EM(1, 0.5, 0.6, a, b[:2])
+    with pytest.raises(DomainError):
+        build_JP_general(2, Q, 0.5, 0.6, a, b)
+    with pytest.raises(DomainError):
+        build_JP_general(1, Q, 0.5, 0.6, a[:2], b)
+    p = QALParams(A=0.3, B=(0.6, 0.7), C=0.5, x=(0.3, 0.4))
+    with pytest.raises(DomainError):
+        build_qal_system(3, p)
+    with pytest.raises(DomainError):
+        build_qal_system(2, QALParams(A=0.3, B=(0.6, 0.7), C=0.5, x=(0.3,)))
