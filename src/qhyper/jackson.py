@@ -13,11 +13,20 @@ and lattice steps multiply by exact integer powers of q^alpha.
 
 Every lattice sum here (one-sided, each half of a bilateral sum, the
 Jordan-Pochhammer and the degenerate integral) is one stall loop,
-``_lattice_sum``.  Every integrand is a ratio of infinite products, built
-afresh at each lattice point by ``_product_ratio`` from qcore's
+``_lattice_sum``.  Every integrand of this module is a ``_Ratio`` of infinite
+products, evaluated directly by ``_product_ratio`` from qcore's
 ``qpoch_infinite``: numerators first, so that an exact lattice zero returns 0
 before any denominator (which could sit on its pole there) is evaluated; a
-vanishing denominator factor raises PoleHit.
+vanishing denominator factor raises PoleHit.  Along its lattice a ``_Ratio``
+is stepped from one point to the next,
+
+  psi(t q) = psi(t) prod_k (1 - den_k t) / prod_k (1 - num_k t),
+
+and evaluated directly at the first point, at least every _ANCHOR_EVERY
+points, after a zero value, and wherever a step factor comes within 1/2 of
+zero or the kernel may need more than its factor cap; so every exact zero,
+pole, NoConvergence and NaN is still decided by the direct evaluation.  Any
+other callable is evaluated at every point.
 """
 from __future__ import annotations
 
@@ -26,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NoConvergence, NonFinite, PoleHit
-from .qcore import QContext
+from .qcore import _TAIL, QContext
 # a private name: the products are part of this layer's per-point work, and
 # per-layer tracing wraps only the public names one module imports from another
 from .qcore import qpoch_infinite as _qpoch
@@ -121,6 +130,56 @@ def _product_ratio(num, den, t, ctx: QContext):
     return val
 
 
+class _Ratio:
+    """The integrand t -> prod_k (num_k t; q)_inf / prod_k (den_k t; q)_inf.
+
+    A call is _product_ratio; _lattice_sum also reads num and den to step it
+    along a lattice of base q.  reach is the |t| from which some (c t; q)_inf
+    may need more than infinite_product_cutoff factors, so that the direct
+    evaluation raises NoConvergence (halved, so that rounding in c t cannot
+    cross it)."""
+
+    __slots__ = ("num", "den", "ctx", "reach")
+
+    def __init__(self, num, den, ctx: QContext):
+        self.num = num
+        self.den = den
+        self.ctx = ctx
+        size = max(map(abs, num + den), default=0.0)
+        log_reach = math.log(_TAIL / 2) - ctx.infinite_product_cutoff * math.log(abs(ctx.q))
+        self.reach = math.exp(min(log_reach - math.log(size), 700.0)) if size else math.inf
+
+    def __call__(self, t):
+        return _product_ratio(self.num, self.den, t, self.ctx)
+
+
+# A stepped value carries the rounding of every step since its last direct
+# evaluation, about (2M + 7) eps a step for the 2M + 6 factors of W^{M,2}'s
+# integrand.  Re-anchoring at least every 8 points keeps that below
+# 8 (2M + 7) eps <= 1.2e-14 for M <= 3, the size of the 1e-14 truncation of
+# each direct (a; q)_inf.
+_ANCHOR_EVERY = 8
+
+
+def _step_ratio(num, den, s):
+    """prod_k (1 - num_k s) / prod_k (1 - den_k s), or None when a factor has
+    modulus below 1/2 (or is NaN): s may sit on a zero or a pole, and the
+    factor has lost digits to cancellation."""
+    up = 1.0 + 0.0j
+    for c in num:
+        x = 1.0 - c * s
+        if not abs(x) >= 0.5:
+            return None
+        up *= x
+    down = 1.0 + 0.0j
+    for c in den:
+        x = 1.0 - c * s
+        if not abs(x) >= 0.5:
+            return None
+        down *= x
+    return up / down
+
+
 def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False):
     """total + sum_{n >= 0} f(t_n) w_n with t_n = t step^n, w_n = w wstep^n.
 
@@ -130,11 +189,23 @@ def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False
     total starts at the total passed in, so the second half of a bilateral sum
     stalls against the whole sum.  A non-finite term raises NonFinite, and
     4 * infinite_product_cutoff points without a stall raise NoConvergence.
+
+    A _Ratio of base step is stepped from each point to the next (see the
+    module docstring for the points evaluated directly); anything else is
+    called at every point.
     """
     cap = 4 * ctx.infinite_product_cutoff
     stall = 0
+    stepped = isinstance(f, _Ratio) and f.ctx.q == step
+    if stepped:
+        up, down = (f.num, f.den) if divide else (f.den, f.num)
+    val = None  # f(t), when the previous point stepped to it
+    since = 0  # points since the last direct evaluation
     for _ in range(cap):
-        term = complex(f(t)) * w
+        if val is None:
+            val = complex(f(t))
+            since = 0
+        term = val * w
         if not (math.isfinite(term.real) and math.isfinite(term.imag)):
             raise NonFinite(f"non-finite value in {where}")
         total += term
@@ -144,10 +215,18 @@ def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False
                 return total
         else:
             stall = 0
+        since += 1
         if divide:
             t /= step
             w /= wstep
-        else:
+        # psi(t q) = psi(t) prod (1 - den_k t) / prod (1 - num_k t) from the old
+        # point; psi(t / q) = psi(t) prod (1 - num_k t / q) / prod (1 - den_k t / q)
+        # at the new one
+        r = None
+        if stepped and val != 0 and since < _ANCHOR_EVERY and abs(t) < f.reach:
+            r = _step_ratio(up, down, t)
+        val = None if r is None else val * r
+        if not divide:
             t *= step
             w *= wstep
     raise NoConvergence(f"{where} did not stall within {cap} lattice points")
@@ -181,13 +260,7 @@ def jackson_between(tau1, tau2, f, ctx: QContext) -> complex:
 def rp_integrand(bp: BalancedParams, ctx: QContext):
     """psi(t) = prod_k (a_k t)_inf / (b_k t)_inf with exact lattice zeros and
     PoleHit on denominator zeros."""
-    a = tuple(complex(v) for v in bp.a)
-    b = tuple(complex(v) for v in bp.b)
-
-    def psi(t):
-        return _product_ratio(a, b, t, ctx)
-
-    return psi
+    return _Ratio(tuple(complex(v) for v in bp.a), tuple(complex(v) for v in bp.b), ctx)
 
 
 def rp_integral(bp: BalancedParams, i: int, j: int, ctx: QContext) -> complex:
@@ -223,12 +296,8 @@ def jp_integral(p: JPParams, x, ctx: QContext, tau_power=None) -> complex:
         alpha = q_exponent(p.alpha_power, ctx)
         tau_power = principal_power(tau, alpha - 1)
 
-    num = (p.A * x,) + tuple(complex(v) for v in p.a)
-    den = (p.B * x,) + tuple(complex(v) for v in p.b)
-
-    def F(t):
-        return _product_ratio(num, den, t, ctx)
-
+    F = _Ratio((p.A * x,) + tuple(complex(v) for v in p.a),
+               (p.B * x,) + tuple(complex(v) for v in p.b), ctx)
     q = ctx.q
     w = tau * tau_power
     total = _lattice_sum(tau, q, w, p.alpha_power, F, ctx, 0.0 + 0.0j, "jp_integral (n >= 0)")
@@ -255,9 +324,7 @@ def degene_integral(j: int, a, b, qlambda, ctx: QContext, tau_power=None) -> com
         lam = q_exponent(qlambda, ctx)
         tau_power = principal_power(tau, lam)
 
-    def F(t):
-        return _product_ratio(a, b, t, ctx)
-
+    F = _Ratio(a, b, ctx)
     w = tau * tau_power  # tau^(lambda+1), then times q^(n(lambda+1))
     return (1.0 - ctx.q) * _lattice_sum(tau, ctx.q, w, qlp1, F, ctx, 0.0 + 0.0j,
                                         "degene_integral")
