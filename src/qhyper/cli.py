@@ -2,7 +2,8 @@
 suites, and evaluate individual series/integrals from JSON parameter files.
 
 Exit codes: 0 = everything passed, 1 = at least one check failed,
-2 = configuration or evaluation error (bad flags, unknown id, bad params).
+2 = configuration or evaluation error (bad flags, unknown id, no checks
+selected, bad params).
 """
 from __future__ import annotations
 
@@ -173,6 +174,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         reports = run_suite(ids, cfg.seeds, cfg.M_values, ctx)
     except (QHyperError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not reports:  # an empty selection is a configuration error, not a pass
+        print("error: no checks selected", file=sys.stderr)
         return 2
     if cfg.tol is not None:
         for rep in reports:

@@ -11,6 +11,15 @@ direction l_i.  sum_shells evaluates a spec a block of shells at a time as
 numpy arrays: each factor is a table over its index, extended incrementally
 by the recurrence of its q-shifted factorials, and the terms of a block are
 gathered from the tables through cached composition arrays.
+
+The stall rule also reads a block at a time.  Partial sums and shell
+magnitudes are computed for the whole block in numpy, the stop is the end of
+the first run of negligible shells long enough, and the run still open at
+the end of a block is carried into the next, so a sum stops exactly where a
+loop over single shells would.  The partial sums accumulate in order, so
+they are bitwise Python's; magnitudes are np.hypot of the real and imaginary
+parts because np.abs of a complex128 can differ from Python's abs(complex)
+in the last bit, and the magnitudes decide the stop.
 """
 from __future__ import annotations
 
@@ -229,37 +238,53 @@ def sum_shells(term, M: int, ctx: QContext, shell_cap=None, exact=False) -> Seri
     ctx.stall_window consecutive shells whose magnitude is below
     ctx.rel_tol * max(1, |partial|), or at the cap.  With exact=True the cap
     is a known terminating degree and the truncated sum is the exact value.
-    Shells computed ahead of the stop are never checked and never raise.
+
+    The rule reads a block of shell sums at a time (a spec's blocks, or one
+    shell per block for a callable), carrying the partial sum and the run of
+    negligible shells from block to block; magnitudes are np.hypot of the
+    parts, as Python's abs(complex) rounds them.  Only shells up to the stop
+    are checked, and no block is pulled past the cap, so shells ahead of the
+    stop never raise.
     """
     cap = ctx.series_shell_cap if shell_cap is None else shell_cap
     if isinstance(term, ShellSpec):
-        shells = _spec_shells(term, M, ctx.q, cap)
+        blocks = _spec_shells(term, M, ctx.q, cap)
     else:
-        shells = _callable_shells(term, M)
+        blocks = _callable_shells(term, M)
     partial = 0.0 + 0.0j
     stall = 0
     last_mag = 0.0
     used = 0
     converged = False
-    for s, shell in zip(range(cap + 1), shells):
-        partial += shell
-        if not (math.isfinite(partial.real) and math.isfinite(partial.imag)):
-            raise NonFinite(f"non-finite partial sum at shell {s}")
-        last_mag = abs(shell)
-        used = s + 1
-        if last_mag <= ctx.rel_tol * max(1.0, abs(partial)):
-            stall += 1
-            if stall >= ctx.stall_window:
-                converged = True
-                break
-        else:
-            stall = 0
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite partial
+        while used <= cap and not converged:
+            shells = next(blocks)
+            partials = shells.copy()
+            partials[0] += partial
+            np.add.accumulate(partials, out=partials)
+            mags = np.hypot(shells.real, shells.imag)
+            small = mags <= ctx.rel_tol * np.maximum(1.0, np.hypot(partials.real, partials.imag))
+            # one byte per shell, 1 where it is negligible, after the run
+            # carried in: the stop ends the first run of stall_window ones
+            flags = b"\x01" * stall + small.tobytes()
+            hit = flags.find(b"\x01" * ctx.stall_window)
+            converged = hit >= 0
+            end = hit + ctx.stall_window - 1 - stall if converged else len(shells) - 1
+            partial = complex(partials[end])
+            if not cmath.isfinite(partial):
+                # a non-finite part stays so under addition: the first one raises
+                first = int(np.isfinite(partials).argmin())
+                raise NonFinite(f"non-finite partial sum at shell {used + first}")
+            last_mag = float(mags[end])
+            stall = len(flags) - len(flags.rstrip(b"\x01"))
+            used += end + 1
     if exact:
         converged = True
     return SeriesResult(partial, used, converged, last_mag)
 
 
 def _callable_shells(term, M):
+    """Shell sums of a callable term(l), one shell per block."""
     s = 0
     while True:
         shell = 0.0 + 0.0j
@@ -272,12 +297,30 @@ def _callable_shells(term, M):
             if not (math.isfinite(t.real) and math.isfinite(t.imag)):
                 raise NonFinite(f"non-finite term at l={l}")
             shell += t
-        yield shell
+        yield np.array([shell])
         s += 1
 
 
+@functools.lru_cache(maxsize=256)
+def _block_index(M, s0, s1):
+    """Index arrays of the terms of shells s0..s1-1 for M >= 2: one int16
+    row with the shell of each term and one per column of l (the width
+    _compositions stores l in), and where each shell starts."""
+    blocks = [_compositions(M, s) for s in range(s0, s1)]
+    sizes = [len(b) for b in blocks]
+    rows = np.vstack((np.repeat(np.arange(s0, s1, dtype=np.int16), sizes),
+                      np.concatenate(blocks).T))
+    starts = np.cumsum([0] + sizes[:-1])
+    rows.flags.writeable = starts.flags.writeable = False
+    return rows, starts
+
+
 def _spec_shells(spec: ShellSpec, M, q, cap):
-    """Shell sums of a spec, computed a block of shells at a time."""
+    """Shell sums of a spec, one array per block of shells.
+
+    A block whose shell k raises yields its shells before k, then raises when
+    the next block is asked for.
+    """
     for part in (spec.dirs, spec.y, spec.mu):
         if part and len(part) != M:
             raise DomainError(f"ShellSpec parts must have M = {M} entries, got {len(part)}")
@@ -298,57 +341,65 @@ def _spec_shells(spec: ShellSpec, M, q, cap):
         scale = 1.0 / scale
     s0, target = 0, _BLOCK_MIN_TERMS
     while s0 <= cap:
-        s1, count = s0, 0
-        while count < target and s1 <= cap:
-            count += math.comb(s1 + M - 1, M - 1)
-            s1 += 1
         if M == 1:
+            s1 = min(s0 + target, cap + 1)
             S = np.arange(s0, s1)
-            L = S[:, None]
+            cols = (S,)
             starts = np.arange(s1 - s0)
         else:
-            blocks = [_compositions(M, s) for s in range(s0, s1)]
-            L = np.concatenate(blocks)
-            sizes = [len(b) for b in blocks]
-            S = np.repeat(np.arange(s0, s1), sizes)
-            starts = np.cumsum([0] + sizes[:-1])
+            s1, count = s0, 0
+            while count < target and s1 <= cap:
+                count += math.comb(s1 + M - 1, M - 1)
+                s1 += 1
+            rows, starts = _block_index(M, s0, s1)
+            S, *cols = rows.astype(np.intp)  # one cast, not one per gather
         with np.errstate(all="ignore"):
             vals = tables.upto(max(s1 + spec.offset, reach * s1))
             t = vals[0][S + spec.offset]
             for i in range(len(spec.dirs)):
-                t *= vals[1 + i][L[:, i]]
+                t *= vals[1 + i][cols[i]]
             if y:
-                Y = [y[i] * vals[-1][L[:, i]] for i in range(M)]
+                Y = [y[i] * vals[-1][cols[i]] for i in range(M)]
                 for i in range(M):
                     for j in range(i + 1, M):
                         t *= Y[i] - Y[j]
             for i, m in enumerate(mu):
-                t *= 1.0 - m * vals[-1][S + L[:, i]]
+                t *= 1.0 - m * vals[-1][S + cols[i]]
             sums = np.add.reduceat(t, starts) * scale
-        finite = np.isfinite(sums)
-        for k, value in enumerate(sums.tolist()):
-            if zero_den or not finite[k]:
-                lo = starts[k]
-                hi = starts[k + 1] if k + 1 < len(starts) else len(t)
-                _raise_bad_term(t[lo:hi], L[lo:hi], s0 + k + spec.offset, tables.bad, zero_den)
-            yield value
+        if zero_den or not np.isfinite(sums).all():
+            k, err = _first_error(sums, t, cols, starts, s0 + spec.offset, tables.bad, zero_den)
+            if err is not None:
+                if k:
+                    yield sums[:k]
+                raise err
+        yield sums
         s0 = s1
         target = min(2 * target, _BLOCK_MAX_TERMS)
 
 
-def _raise_bad_term(terms, ls, shell_index, bad, zero_den):
-    """Raise for the first bad term of a shell whose sum is not finite.
+def _first_error(sums, terms, cols, starts, shell0, bad, zero_den):
+    """(k, error) for the first shell k of a block that raises, or (None,
+    None).  A shell raises for its first non-finite term, or for any term
+    when the normalization divides by zero; a shell whose terms are finite
+    but whose sum overflowed does not (the partial-sum check of sum_shells
+    raises for it).
 
-    bad holds the first index at which each table divided by zero: the shell
-    factor's, then one per direction (a trailing q^n table never does).
+    shell0 is the shell factor's index at the block's first shell, cols are
+    the columns of l over the block's terms, and bad holds the first index at
+    which each table divided by zero: the shell factor's, then one per
+    direction (a trailing q^n table never does).
     """
-    nonfinite = np.flatnonzero(~np.isfinite(terms))
-    if not len(nonfinite) and not zero_den:
-        return  # finite terms whose sum overflowed: the partial-sum check raises
-    l = tuple(ls[nonfinite[0] if len(nonfinite) else 0].tolist())
-    if zero_den or any(b <= n for b, n in zip(bad, (shell_index,) + l)):
-        raise TermEvaluationError(f"term failed at l={l}: zero denominator")
-    raise NonFinite(f"non-finite term at l={l}")
+    for k in [0] if zero_den else np.flatnonzero(~np.isfinite(sums)).tolist():
+        hi = starts[k + 1] if k + 1 < len(starts) else len(terms)
+        nonfinite = np.flatnonzero(~np.isfinite(terms[starts[k]:hi]))
+        if not len(nonfinite) and not zero_den:
+            continue
+        first = starts[k] + (nonfinite[0] if len(nonfinite) else 0)
+        l = tuple(int(c[first]) for c in cols)
+        if zero_den or any(b <= n for b, n in zip(bad, (shell0 + k,) + l)):
+            return k, TermEvaluationError(f"term failed at l={l}: zero denominator")
+        return k, NonFinite(f"non-finite term at l={l}")
+    return None, None
 
 
 def _delta(xs):

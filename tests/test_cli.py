@@ -33,6 +33,16 @@ def test_verify_unknown_id_exit_two(capsys):
     assert "nosuch.id" in err
 
 
+def test_verify_empty_selection_exit_two(capsys):
+    # heine.m1 has M = 1 only; "," and "0" select no M at all
+    for m in ("3", ",", "0"):
+        rc = main(["verify", "--ids", "heine.m1", "--m", m])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error: no checks selected" in captured.err
+        assert captured.out == ""
+
+
 def test_verify_q_out_of_range(capsys):
     rc = main(["verify", "--ids", "heine.m1", "--q", "1.2"])
     assert rc == 2

@@ -70,6 +70,7 @@ def test_sum_shells_order_independence():
     assert rel(res.value, lex) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
 def test_sum_shells_term_failure():
     def term(l):
         if l[0] == 3:
@@ -80,6 +81,7 @@ def test_sum_shells_term_failure():
         sum_shells(term, 1, CTX)
 
 
+@pytest.mark.filterwarnings("error")
 def test_sum_shells_nonfinite():
     def term(l):
         return float("inf") if l[0] == 2 else 1.0
@@ -92,6 +94,135 @@ def test_sum_shells_no_convergence_flag():
     res = sum_shells(lambda l: 1.0, 1, CTX, shell_cap=20)
     assert not res.converged
     assert res.shells_used == 21
+
+
+def _per_shell_sum(term, M, ctx, shell_cap=None, exact=False):
+    """Reference for sum_shells: the stall rule one shell at a time, fed the
+    same shell sums one by one.  A block that raises at shell k yields shells
+    0..k-1 first, so the flattened stream raises exactly where a per-shell
+    generator would."""
+    cap = ctx.series_shell_cap if shell_cap is None else shell_cap
+    if isinstance(term, ShellSpec):
+        blocks = series._spec_shells(term, M, ctx.q, cap)
+    else:
+        blocks = series._callable_shells(term, M)
+    shells = (shell for block in blocks for shell in block.tolist())
+    partial = 0.0 + 0.0j
+    stall = 0
+    last_mag = 0.0
+    used = 0
+    converged = False
+    for s, shell in zip(range(cap + 1), shells):
+        partial += shell
+        if not (math.isfinite(partial.real) and math.isfinite(partial.imag)):
+            raise NonFinite(f"non-finite partial sum at shell {s}")
+        last_mag = abs(shell)
+        used = s + 1
+        if last_mag <= ctx.rel_tol * max(1.0, abs(partial)):
+            stall += 1
+            if stall >= ctx.stall_window:
+                converged = True
+                break
+        else:
+            stall = 0
+    if exact:
+        converged = True
+    return series.SeriesResult(partial, used, converged, last_mag)
+
+
+def _outcome(fn, term, M, ctx, **kwargs):
+    """Every field of a sum_shells result bit for bit, or the exception's
+    type and message."""
+    try:
+        res = fn(term, M, ctx, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    v, mag = res.value, res.last_shell_magnitude
+    return (type(v), v.real.hex(), v.imag.hex(), type(res.shells_used), res.shells_used,
+            res.converged, type(mag), mag.hex())
+
+
+def _same_as_per_shell(term, M, ctx, **kwargs):
+    ref = _outcome(_per_shell_sum, term, M, ctx, **kwargs)
+    assert _outcome(sum_shells, term, M, ctx, **kwargs) == ref
+    return ref
+
+
+def _random_spec(rng, M):
+    def unit(lo=0.2, hi=0.8):
+        return cmath.rect(rng.uniform(lo, hi), rng.uniform(-math.pi, math.pi))
+
+    shell = Factor(w=unit(0.3, 0.75), e=rng.choice((0, 0, 1)), a=(unit(),), b=(unit(),))
+    dirs = ()
+    if rng.random() < 0.7:
+        dirs = tuple(Factor(w=unit(0.2, 0.6), a=(unit(),), b=(unit(),)) for _ in range(M))
+    y = tuple(unit() for _ in range(M)) if M > 1 and rng.random() < 0.5 else ()
+    mu = tuple(unit() for _ in range(M)) if rng.random() < 0.5 else ()
+    return ShellSpec(shell, dirs, y, mu)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", [0.5, 0.7, -0.5, 0.6 * cmath.exp(0.5j)])
+def test_block_stall_rule_matches_per_shell_loop(q):
+    rng = random.Random(17)
+    for M in (1, 2, 3):
+        for window in (1, 3, 5):
+            ctx = QContext(q=q, stall_window=window)
+            for _ in range(3):
+                spec = _random_spec(rng, M)
+                _same_as_per_shell(spec, M, ctx)
+                cap = rng.randrange(3, 40)
+                _same_as_per_shell(spec, M, ctx, shell_cap=cap, exact=rng.random() < 0.5)
+            w = [cmath.rect(rng.uniform(0.15, 0.4), rng.uniform(-3, 3)) for _ in range(M)]
+
+            def term(l, w=w):
+                return math.prod(wi ** li for wi, li in zip(w, l)) / (1 + sum(l))
+
+            _same_as_per_shell(term, M, ctx)
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_stall_rule_edge_cases():
+    q = CTX.q
+    # shells vanish past the shell factor's cap c, and the stall of 3 ends
+    # at c + 3: for c = 29 (M = 1) and c = 5 (M = 2) the run straddles the
+    # boundary between the first two blocks, at shell 32 and shell 8
+    for M, caps in ((1, range(27, 33)), (2, range(3, 8))):
+        for c in caps:
+            out = _same_as_per_shell(ShellSpec(Factor(w=0.9, cap=c)), M, CTX)
+            assert out[4:6] == (c + 4, True)
+    # an exact cap that ends mid-block, where the next block is never pulled:
+    # the callable raises past the cap
+    spec = ShellSpec(Factor(w=0.3, a=(q ** -40,), b=(0.5,)))
+    assert _same_as_per_shell(spec, 1, CTX, shell_cap=40, exact=True)[4:6] == (41, True)
+    for M, cap in ((1, 40), (2, 10), (3, 6)):
+
+        def capped(l, cap=cap):
+            if sum(l) > cap:
+                raise ZeroDivisionError("past the cap")
+            return 0.9 ** sum(l)
+
+        assert _same_as_per_shell(capped, M, CTX, shell_cap=cap, exact=True)[4] == cap + 1
+    # about 23 500 shells at M = 1, as the z = 1 - 2^-10 point of psi.limit sums
+    deep = QContext(q=q, series_shell_cap=60000)
+    out = _same_as_per_shell(ShellSpec(Factor(w=1 - 2 ** -10, a=(0.3,), b=(0.6,))), 1, deep)
+    assert out[4] > 20000 and out[5]
+    # errors: a zero denominator at shell 3 and at shell 35 (mid-block), a
+    # normalization that divides by zero, an overflowing term at shell 35,
+    # and partial sums of finite shells that overflow (across shells, and
+    # within shell 1)
+    for spec, M, exc, msg in (
+        (ShellSpec(Factor(w=0.3, b=(q ** -2,))), 1, TermEvaluationError, "l=(3,)"),
+        (ShellSpec(Factor(w=2.0 ** 34, b=(q ** -34,))), 1, TermEvaluationError, "l=(35,)"),
+        (ShellSpec(Factor(w=0.3), y=(0.4, 0.4)), 2, TermEvaluationError, "l=(0, 0)"),
+        (ShellSpec(Factor(w=1e9)), 1, NonFinite, "l=(35,)"),
+        (ShellSpec(Factor(a=(-2.6e13,))), 1, NonFinite, "partial sum at shell 84"),
+        (ShellSpec(Factor(w=1.5e308, b=(0.0,))), 2, NonFinite, "partial sum at shell 1"),
+    ):
+        kind, message = _same_as_per_shell(spec, M, CTX)
+        assert kind is exc and msg in message
+    for term, exc in ((lambda l: 1e308, NonFinite), (lambda l: 1 / (3 - l[0]), TermEvaluationError)):
+        assert _same_as_per_shell(term, 1, CTX)[0] is exc
 
 
 def test_terminating_order():
@@ -754,6 +885,7 @@ def test_spec_catalog_sums(q, monkeypatch):
 # ----------------------------------------------------- ShellSpec error paths
 
 
+@pytest.mark.filterwarnings("error")
 def test_spec_shells_past_the_stop_never_raise():
     q = CTX.q
     # terms vanish from n = 2 on, so the sum stops at shell 4; the block it
@@ -769,6 +901,7 @@ def test_spec_shells_past_the_stop_never_raise():
         assert res.converged and res.shells_used == 5
 
 
+@pytest.mark.filterwarnings("error")
 def test_spec_zero_denominator_raises_term_error():
     q = CTX.q
     for spec, M in (
@@ -786,6 +919,7 @@ def test_spec_zero_denominator_raises_term_error():
     assert rel(res.value, (1 + 0.3 / (1 - 1 / q)) / (1 - 0.3 * 0.2)) < 1e-14
 
 
+@pytest.mark.filterwarnings("error")
 def test_spec_nonfinite_raises():
     with pytest.raises(NonFinite, match="term"):
         sum_shells(ShellSpec(Factor(w=1e200)), 1, CTX)  # w^2 overflows
