@@ -342,6 +342,9 @@ def main(argv=None) -> int:
     if abs(cfg.q) >= 1.0:
         print(f"error: --q needs |q| < 1, got |q| = {abs(cfg.q):.6g}", file=sys.stderr)
         return 2
+    if cfg.tol is not None and not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+        print(f"error: --tol needs a finite number > 0, got {cfg.tol}", file=sys.stderr)
+        return 2
     if args.command == "verify":
         return cmd_verify(cfg)
     return cmd_eval(args.target, args.params, cfg)

@@ -46,8 +46,9 @@ class QContext:
             raise DomainError(f"need 0 < |q| < 1, got |q| = {qm}")
         if self.infinite_product_cutoff <= 0 or self.series_shell_cap <= 0:
             raise DomainError("cutoffs must be positive")
-        if self.rel_tol <= 0.0:
-            raise DomainError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            # a NaN threshold marks no shell negligible, and +inf marks every one
+            raise DomainError(f"rel_tol must be finite and positive, got {self.rel_tol}")
         if self.stall_window <= 0:
             raise DomainError("stall_window must be positive")
 

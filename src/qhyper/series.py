@@ -10,7 +10,15 @@ Delta(y q^l)/Delta(y), optional very-well-poised factors and one factor per
 direction l_i.  sum_shells evaluates a spec a block of shells at a time as
 numpy arrays: each factor is a table over its index, extended incrementally
 by the recurrence of its q-shifted factorials, and the terms of a block are
-gathered from the tables through cached composition arrays.
+gathered from the tables through cached composition arrays (sliced, at
+M = 1).  The first block holds at least _BLOCK_MIN_TERMS = 128 terms, so most
+short sums take one block and one table extension.
+
+No value depends on how the shells are cut into blocks.  The tables equal,
+bit for bit, tables grown in one extension (see _Tables), and the products
+that make the terms are taken out of place: numpy rounds an in-place complex
+product of one-element arrays otherwise than the same product inside a
+longer array, so the term of a one-term block would differ.
 
 The stall rule also reads a block at a time.  Partial sums and shell
 magnitudes are computed for the whole block in numpy, the stop is the end of
@@ -35,10 +43,12 @@ from .qcore import QContext, qpoch_infinite
 
 _TERMINATE_TOL = 1e-12
 # A block of shells holds at least this many terms; the target doubles from
-# block to block up to the maximum, so short sums stay cheap and deep sums run
-# in large blocks.
-_BLOCK_MIN_TERMS = 32
+# block to block up to the maximum, so short sums take one block and deep sums
+# run in large blocks.
+_BLOCK_MIN_TERMS = 128
 _BLOCK_MAX_TERMS = 4096
+# The shortest table extension: see _Tables.
+_MIN_STEPS = 3
 
 
 @dataclass
@@ -126,36 +136,35 @@ class _Tables:
     factor a numerator segment (w, then q^(e n) if e, then a_k q^n) and a
     denominator segment (a row of ones, then b_k q^n).  bad[f] is the first
     n at which factor f divided by a vanishing factor.
+
+    The values do not depend on how the tables are extended: grown in steps
+    of any sizes they equal, bit for bit, tables grown in one extension.
+    Every value of a row comes from one running product (a cumprod along the
+    row): a later extension starts its grid at the last value kept and drops
+    that column from the products, because the next start taken as a
+    separate elementwise product can round otherwise.  No extension is
+    shorter than _MIN_STEPS, because a complex cumprod over an axis of width
+    2 can round differently from a longer one.
     """
 
-    __slots__ = ("vals", "n", "bad", "_cap", "_row", "_ratio", "_poch", "_segs")
+    __slots__ = ("vals", "n", "bad", "_caps", "_row", "_ratio", "_poch", "_segs")
 
     def __init__(self, factors, q):
         q = complex(q)
         row, ratio, poch, segs = [], [], [], []
-
-        def add(start, step):
-            row.append(start)
-            ratio.append(step)
-
         for f in factors:
-            segs.append(len(row))  # numerator: w^n, q^(e n), then 1 - a_k q^n
-            add(f.w, 1.0)
-            if f.e:
-                add(1.0, q ** f.e)
-            poch += range(len(row), len(row) + len(f.a))
-            for c in f.a:
-                add(c, q)
-            segs.append(len(row))  # denominator: a row of ones, then 1 - b_k q^n
-            add(1.0, 1.0)
-            poch += range(len(row), len(row) + len(f.b))
-            for c in f.b:
-                add(c, q)
-        self._row = np.array(row, complex)  # value of each row at the last step
-        self._ratio = np.array(ratio, complex)
-        self._poch = np.array(poch, np.intp)  # rows that enter as 1 - a q^n
+            # numerator: w^n, q^(e n), then 1 - a_k q^n; denominator: a row of
+            # ones, then 1 - b_k q^n
+            lead, step = ([f.w, 1.0], [1.0, q ** f.e]) if f.e else ([f.w], [1.0])
+            segs += (len(row), len(row) + len(lead) + len(f.a))
+            row += lead + [*f.a, 1.0, *f.b]
+            ratio += step + [q] * len(f.a) + [1.0] + [q] * len(f.b)
+            poch += [False] * len(lead) + [True] * len(f.a) + [False] + [True] * len(f.b)
+        self._row = np.array(row, complex)  # each row's start, then its last value
+        self._ratio = np.array(ratio, complex)[:, None]
+        self._poch = np.array(poch)[:, None]  # rows that enter as 1 - a q^n
         self._segs = np.array(segs, np.intp)
-        self._cap = [f.cap for f in factors]
+        self._caps = {i: f.cap for i, f in enumerate(factors) if f.cap is not None}
         self.vals = np.ones((len(factors), 1), complex)
         self.n = 1
         self.bad = [math.inf] * len(factors)
@@ -163,7 +172,7 @@ class _Tables:
     def upto(self, n):
         """The tables, valid at least at indices 0..n-1."""
         if n > self.n:
-            self._extend(n)
+            self._extend(max(n, self.n + _MIN_STEPS))
         return self.vals
 
     def _extend(self, n):
@@ -172,26 +181,27 @@ class _Tables:
             grown = np.empty((len(self.vals), max(n, 2 * self.vals.shape[1])), complex)
             grown[:, :lo] = self.vals[:, :lo]
             self.vals = grown
-        grid = np.empty((len(self._row), count), complex)
+        carry = int(lo > 1)  # a later grid starts at the last step kept
+        grid = np.empty((len(self._row), carry + count), complex)
         grid[:, 0] = self._row
-        grid[:, 1:] = self._ratio[:, None]
-        np.cumprod(grid, axis=1, out=grid)
-        self._row = grid[:, -1] * self._ratio
-        grid[self._poch] = 1.0 - grid[self._poch]
-        prods = np.multiply.reduceat(grid, self._segs, axis=0)
+        grid[:, 1:] = self._ratio
+        np.multiply.accumulate(grid, axis=1, out=grid)
+        self._row = grid[:, -1].copy()
+        np.subtract(1.0, grid, out=grid, where=self._poch)
+        prods = np.multiply.reduceat(grid, self._segs, axis=0)[:, carry:]
         den = prods[1::2]
         if not den.all():
             for f, j in zip(*np.nonzero(den == 0)):
-                cap = self._cap[f]
+                cap = self._caps.get(int(f))
                 if cap is None or lo + j <= cap:
                     self.bad[f] = min(self.bad[f], lo + int(j))
         steps = np.empty((len(self.vals), count + 1), complex)
         steps[:, 0] = self.vals[:, lo - 1]
         np.divide(prods[0::2], den, out=steps[:, 1:])
-        np.cumprod(steps, axis=1, out=steps)
+        np.multiply.accumulate(steps, axis=1, out=steps)
         self.vals[:, lo:n] = steps[:, 1:]
-        for f, cap in enumerate(self._cap):
-            if cap is not None and cap + 1 < n:
+        for f, cap in self._caps.items():
+            if cap + 1 < n:
                 self.vals[f, max(cap + 1, lo):n] = 0.0
         self.n = n
 
@@ -339,13 +349,11 @@ def _spec_shells(spec: ShellSpec, M, q, cap):
     zero_den = scale == 0
     if not zero_den:
         scale = 1.0 / scale
+    off = spec.offset
     s0, target = 0, _BLOCK_MIN_TERMS
     while s0 <= cap:
         if M == 1:
             s1 = min(s0 + target, cap + 1)
-            S = np.arange(s0, s1)
-            cols = (S,)
-            starts = np.arange(s1 - s0)
         else:
             s1, count = s0, 0
             while count < target and s1 <= cap:
@@ -354,20 +362,30 @@ def _spec_shells(spec: ShellSpec, M, q, cap):
             rows, starts = _block_index(M, s0, s1)
             S, *cols = rows.astype(np.intp)  # one cast, not one per gather
         with np.errstate(all="ignore"):
-            vals = tables.upto(max(s1 + spec.offset, reach * s1))
-            t = vals[0][S + spec.offset]
-            for i in range(len(spec.dirs)):
-                t *= vals[1 + i][cols[i]]
-            if y:
-                Y = [y[i] * vals[-1][cols[i]] for i in range(M)]
-                for i in range(M):
-                    for j in range(i + 1, M):
-                        t *= Y[i] - Y[j]
-            for i, m in enumerate(mu):
-                t *= 1.0 - m * vals[-1][S + cols[i]]
-            sums = np.add.reduceat(t, starts) * scale
+            vals = tables.upto(max(s1 + off, reach * s1))
+            if M == 1:  # one term per shell: slices of the tables, no gathers or reduceat
+                t = vals[0, s0 + off:s1 + off]
+                if spec.dirs:
+                    t = t * vals[1, s0:s1]
+                if mu:
+                    t = t * (1.0 - mu[0] * vals[-1, 2 * s0:2 * s1:2])
+                sums = t * scale
+            else:
+                t = vals[0][S + off]
+                for i in range(len(spec.dirs)):
+                    t = t * vals[1 + i][cols[i]]
+                if y:
+                    Y = [y[i] * vals[-1][cols[i]] for i in range(M)]
+                    for i in range(M):
+                        for j in range(i + 1, M):
+                            t = t * (Y[i] - Y[j])
+                for i, m in enumerate(mu):
+                    t = t * (1.0 - m * vals[-1][S + cols[i]])
+                sums = np.add.reduceat(t, starts) * scale
         if zero_den or not np.isfinite(sums).all():
-            k, err = _first_error(sums, t, cols, starts, s0 + spec.offset, tables.bad, zero_den)
+            if M == 1:
+                cols, starts = (np.arange(s0, s1),), np.arange(s1 - s0)
+            k, err = _first_error(sums, t, cols, starts, s0 + off, tables.bad, zero_den)
             if err is not None:
                 if k:
                     yield sums[:k]

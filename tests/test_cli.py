@@ -163,6 +163,25 @@ def test_eval_bad_complex_shape(tmp_path, capsys):
     assert "upper[0]" in err
 
 
+def test_tol_not_finite_and_positive_exit_two(tmp_path, capsys):
+    # with --tol inf rphis stopped after 3 shells at 2.7728 and called it
+    # converged (the sum is 3.30827...); with nan it ran to the shell cap and
+    # exited 0, and verify --tol nan failed every check and exited 1
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"upper": [0.3, 0.2], "lower": [0.6], "z": 0.4}))
+    for tol in ("nan", "inf", "-inf", "0", "-1e-13"):
+        for argv in (["eval", "rphis", str(params)], ["verify", "--ids", "heine.m1"]):
+            rc = main(argv + [f"--tol={tol}"])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.err.startswith("error: --tol")
+            assert captured.out == ""
+    assert main(["eval", "rphis", str(params), "--tol", "1e-13"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0].startswith("value = 3.308272649032")
+    assert "converged = true" in out
+
+
 def test_runconfig_roundtrip():
     cfg = RunConfig(ids=["heine.m1", "qal.phiD"], seeds=[2, 3, 4], M_values=[1, 3],
                     q=complex(0.55, -0.2), tol=1e-9, shells=500, out="r.json", format="csv")

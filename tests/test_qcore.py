@@ -258,3 +258,9 @@ def test_qcontext_rejects_bad_q():
         QContext(q=0.0)
     with pytest.raises(DomainError):
         QContext(q=0.5, rel_tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-13, 0.0])
+def test_qcontext_rejects_rel_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(DomainError, match="rel_tol"):
+        QContext(q=0.5, rel_tol=tol)

@@ -10,6 +10,7 @@ import functools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qhyper import identities, series
@@ -181,13 +182,24 @@ def test_block_stall_rule_matches_per_shell_loop(q):
             _same_as_per_shell(term, M, ctx)
 
 
+def _first_block_end(M):
+    """The first shell of the second block of an M-fold spec's shells."""
+    s, count = 0, 0
+    while count < series._BLOCK_MIN_TERMS:
+        count += math.comb(s + M - 1, M - 1)
+        s += 1
+    return s
+
+
 @pytest.mark.filterwarnings("error")
 def test_block_stall_rule_edge_cases():
     q = CTX.q
     # shells vanish past the shell factor's cap c, and the stall of 3 ends
-    # at c + 3: for c = 29 (M = 1) and c = 5 (M = 2) the run straddles the
-    # boundary between the first two blocks, at shell 32 and shell 8
-    for M, caps in ((1, range(27, 33)), (2, range(3, 8))):
+    # at c + 3: for c = B - 3 and B - 2 the run straddles the boundary B
+    # between the first two blocks (shell 128 at M = 1 and shell 16 at M = 2
+    # for a first block of 128 terms)
+    b1, b2 = _first_block_end(1), _first_block_end(2)
+    for M, caps in ((1, range(b1 - 5, b1 + 1)), (2, range(b2 - 5, b2))):
         for c in caps:
             out = _same_as_per_shell(ShellSpec(Factor(w=0.9, cap=c)), M, CTX)
             assert out[4:6] == (c + 4, True)
@@ -223,6 +235,85 @@ def test_block_stall_rule_edge_cases():
         assert kind is exc and msg in message
     for term, exc in ((lambda l: 1e308, NonFinite), (lambda l: 1 / (3 - l[0]), TermEvaluationError)):
         assert _same_as_per_shell(term, 1, CTX)[0] is exc
+
+
+_SCHEDULE_QS = [0.5, 0.7, -0.5, 0.6 * cmath.exp(0.5j), 0.3 + 0.6j]
+
+
+def _random_factor(rng, q):
+    def unit(lo=0.2, hi=0.9):
+        return cmath.rect(rng.uniform(lo, hi), rng.uniform(-math.pi, math.pi))
+
+    a = tuple(unit() for _ in range(rng.randrange(3)))
+    b = [unit() for _ in range(rng.randrange(3))]
+    if rng.random() < 0.3:
+        b.append(q ** -rng.randrange(1, 40))  # (q^-k; q)_n = 0 from n = k + 1
+    cap = rng.randrange(60) if rng.random() < 0.3 else None
+    return Factor(w=unit(0.3, 1.5), e=rng.choice((0, 1, 2)), a=a, b=tuple(b), cap=cap)
+
+
+def _bits(vals):
+    return vals.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("q", _SCHEDULE_QS)
+def test_tables_do_not_depend_on_the_extension_schedule(q):
+    # tables grown in random steps equal tables grown in one extension, bit
+    # for bit, zero denominators and caps included
+    rng = random.Random(23)
+    with np.errstate(all="ignore"):
+        for _ in range(20):
+            factors = [_random_factor(rng, q) for _ in range(rng.randint(1, 4))]
+            total = rng.randrange(40, 300)
+            whole = series._Tables(factors, q)
+            whole.upto(total)
+            grown = series._Tables(factors, q)
+            n = 1
+            while n < total:
+                n = min(n + rng.choice((1, 1, 2, 2, 3, rng.randint(1, 60))), total)
+                grown.upto(n)
+            assert _bits(grown.vals[:, :total]) == _bits(whole.vals[:, :total])
+            assert grown.bad == whole.bad
+
+
+def _deep_spec(rng, M):
+    """A spec whose terms decay slowly enough that an M = 3 sum reaches
+    shells of more than 2048 terms, which make blocks of one or two shells."""
+    def unit(lo, hi):
+        return cmath.rect(rng.uniform(lo, hi), rng.uniform(-math.pi, math.pi))
+
+    dirs = tuple(Factor(w=unit(0.68, 0.72), a=(unit(0.2, 0.8),), b=(unit(0.2, 0.8),))
+                 for _ in range(M))
+    return ShellSpec(Factor(w=unit(0.95, 1.0), a=(unit(0.2, 0.8),)), dirs,
+                     mu=tuple(unit(0.2, 0.8) for _ in range(M)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", _SCHEDULE_QS)
+def test_sums_do_not_depend_on_the_block_schedule(q, monkeypatch):
+    rng = random.Random(41)
+    ctx = QContext(q=q)
+    cases = []
+    for M in (1, 2, 3):
+        for _ in range(3):
+            spec = _random_spec(rng, M)
+            cases += [(spec, M, {}), (spec, M, {"shell_cap": rng.randrange(3, 40), "exact": True})]
+    cases += [(_deep_spec(rng, 3), 3, {"shell_cap": rng.randrange(70, 100)}) for _ in range(2)]
+    cases += [
+        (ShellSpec(Factor(w=0.3, b=(q ** -2,))), 1, {}),
+        (ShellSpec(Factor(w=2.0 ** 34, b=(q ** -34,))), 1, {}),
+        (ShellSpec(Factor(w=1e9)), 1, {}),
+        (ShellSpec(Factor(w=0.3), dirs=(Factor(w=0.2), Factor(w=0.2, b=(q ** -9,)))), 2, {}),
+    ]
+    outcomes = []
+    for lo, hi in ((1, 4096), (32, 4096), (128, 4096), (128, 16384)):
+        with monkeypatch.context() as mp:
+            mp.setattr(series, "_BLOCK_MIN_TERMS", lo)
+            mp.setattr(series, "_BLOCK_MAX_TERMS", hi)
+            outcomes.append([_outcome(sum_shells, spec, M, ctx, **kw) for spec, M, kw in cases])
+    assert any(out[4] > 64 for out in outcomes[0][-6:-4])  # the deep M = 3 sums
+    for other in outcomes[1:]:
+        assert other == outcomes[0]
 
 
 def test_terminating_order():
