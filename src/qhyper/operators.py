@@ -32,13 +32,14 @@ The builders share a few pieces:
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonFinite
 from .qcore import QContext, elem_sym
 from .jackson import rp_integral, BalancedParams
 
@@ -192,7 +193,11 @@ def op_apply(op: ShiftOperator, f: LatticeFunction, offset: dict) -> complex:
 
 def residual(op: ShiftOperator, f: LatticeFunction, offsets) -> tuple:
     """(raw, relative): worst |op f| over the offsets, against the natural scale
-    max_offset sum_terms |coeff| |f(shifted)|."""
+    max_offset sum_terms |coeff| |f(shifted)|.
+
+    Raises NonFinite when a function value or a coefficient is inf or nan:
+    neither the raw residual nor its scale would show it.
+    """
     raw = 0.0
     scale = 0.0
     for off in offsets:
@@ -202,6 +207,8 @@ def residual(op: ShiftOperator, f: LatticeFunction, offsets) -> tuple:
         for t in op.terms:
             fv = f.eval(_merge(off, t.shifts))
             c = t.coeff(pt)
+            if not (cmath.isfinite(fv) and cmath.isfinite(c)):
+                raise NonFinite(f"{op.name or 'operator'}: f = {fv}, coefficient {c}")
             val += c * fv
             sc += abs(c) * abs(fv)
         raw = max(raw, abs(val))

@@ -5,9 +5,11 @@ break every equality, and reruns are bit-for-bit deterministic."""
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from qhyper import identities
 from qhyper.errors import QHyperError, SamplerExhausted
 from qhyper.identities import (
     CheckReport,
@@ -22,7 +24,7 @@ from qhyper.identities import (
     sample_balanced,
 )
 from qhyper.jackson import BalancedParams, rp_integral
-from qhyper.operators import build_EM_hat, residual
+from qhyper.operators import LatticeFunction, build_EM_hat, residual
 from qhyper.qcore import QContext, qpoch_infinite
 from qhyper.identities import _phi_lattice, _rng_for
 
@@ -62,15 +64,13 @@ def test_terminating_cases_tight():
                 assert rep.passed and rep.rel_error <= 1e-12, (case_id, M, seed)
 
 
-@pytest.mark.parametrize(
-    "case_id", ["bailey.integral", "kajihara.transform", "thm31.series", "qal.phiD", "phi.closed_form"]
-)
+@pytest.mark.parametrize("case_id", ALL_IDS)
 def test_sampler_output_is_admissible(case_id):
     case = lookup(case_id)
-    M = case.M_range[0]
-    for seed in range(100):
-        params = case.sampler(seed, M, CTX)
-        assert case.admissible(params, CTX)
+    for M in case.M_range:
+        for seed in range(100):
+            params = case.sampler(seed, M, CTX)
+            assert case.admissible(params, CTX), (case_id, M, seed)
 
 
 def test_sampler_deterministic():
@@ -100,7 +100,9 @@ def test_perturbation_breaks_every_equality():
             rhs = case.rhs(bad, CTX)
         except (QHyperError, ArithmeticError, ValueError):
             continue  # blowing up counts as detecting the perturbation
-        assert rel_error(lhs, rhs) > 10 * case.tolerance, case_id
+        # a tuple rhs holds several values that must each equal lhs
+        for i, value in enumerate(rhs if isinstance(rhs, tuple) else (rhs,)):
+            assert rel_error(lhs, value) > 10 * case.tolerance, (case_id, i)
 
 
 def test_qrp_negative_control():
@@ -151,6 +153,27 @@ def test_check_captures_failures():
     rep = check("qal.phiD", 0, 1, bad_ctx)
     assert not rep.passed
     assert rep.reason is not None
+    assert not math.isfinite(rep.rel_error)
+
+
+@pytest.mark.parametrize(
+    "case_id, field",
+    [("qal.phiD", "function"), ("heine.m1", "lhs")],
+)
+def test_check_reports_nonfinite(monkeypatch, case_id, field):
+    # a nan lattice function (residual case) or a nan side (equality case)
+    # must fail with a NonFinite reason, not pass or fail silently
+    nan = complex("nan")
+    stubs = {
+        "function": lambda p, ctx: [LatticeFunction(base={"q": ctx.q, "x1": p["x"][0]},
+                                                    eval=lambda off: nan)],
+        "lhs": lambda p, ctx: nan,
+    }
+    case = replace(lookup(case_id), **{field: stubs[field]})
+    monkeypatch.setitem(identities._CATALOG, case_id, case)
+    rep = check(case_id, 0, 1, CTX)
+    assert not rep.passed
+    assert rep.reason is not None and rep.reason.startswith("NonFinite"), rep.reason
     assert not math.isfinite(rep.rel_error)
 
 

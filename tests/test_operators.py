@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qhyper.qcore import QContext, elem_sym
-from qhyper.errors import DomainError
+from qhyper.errors import DomainError, NonFinite
 from qhyper.jackson import (
     BalancedParams,
     JPParams,
@@ -155,6 +155,20 @@ def test_residual_trivials():
     one_minus_T = op_add(const_op(1.0), op_scale(shift_op({"x": 1}), -1.0))
     raw, relr = residual(one_minus_T, f, [{}, {"x": 2}])
     assert raw == 0.0 and relr == 0.0
+
+
+@pytest.mark.parametrize(
+    "value, coeff",
+    [(complex("nan"), 1.0), (complex("inf"), 1.0), (1.0, complex("inf"))],
+    ids=["nan_value", "inf_value", "inf_coeff"],
+)
+def test_residual_rejects_nonfinite(value, coeff):
+    # a nan value would drop out of max(), and an inf one would make the
+    # scale inf and the relative residual 0: either way it must raise
+    f = LatticeFunction(base={"x": 0.5, "q": Q}, eval=lambda off: 1.0 if off else value)
+    op = op_add(const_op(coeff), op_scale(shift_op({"x": 1}), -1.0))
+    with pytest.raises(NonFinite):
+        residual(op, f, [{}])
 
 
 # ------------------------------------------------------- JP factorizations
