@@ -40,7 +40,7 @@ except ImportError:  # renamed _sha2 in Python 3.12
     from hashlib import sha256
 
 from .errors import NonFinite, QHyperError, SamplerExhausted
-from .qcore import QContext, qpoch_finite, qpoch_infinite, theta
+from .qcore import QContext, qpoch_finite, qpoch_infinite, qpoch_ratio, theta
 from .jackson import (
     BalancedParams,
     JPParams,
@@ -137,15 +137,6 @@ def _ratios(xs):
 def _in_band(v):
     """The modulus window 0.1 < |v| < 3 of a solved balanced parameter."""
     return 0.1 < abs(v) < 3.0
-
-
-def _pratio(num, den, ctx):
-    out = 1.0 + 0.0j
-    for v in num:
-        out *= qpoch_infinite(v, ctx)
-    for v in den:
-        out /= qpoch_infinite(v, ctx)
-    return out
 
 
 def rel_error(lhs, rhs):
@@ -340,12 +331,8 @@ def _bailey_admissible(p, ctx):
 def _bailey_lhs(p, ctx):
     a, b, c, d, e, f, g, h = (p[k] for k in "abcdefgh")
     q = ctx.q
-
-    def integrand(t):
-        return _pratio(
-            [q * t / a, q * t / b, c * t, d * t], [e * t, f * t, g * t, h * t], ctx
-        )
-
+    # balanced: (q/a)(q/b) c d = q^2 e f g h
+    integrand = rp_integrand(BalancedParams(a=(q / a, q / b, c, d), b=(e, f, g, h)), ctx)
     return jackson_between(a, b, integrand, ctx)
 
 
@@ -355,7 +342,7 @@ def _bailey_rhs(p, ctx):
     pref = (
         b
         * (1 - q)
-        * _pratio(
+        * qpoch_ratio(
             [q, b * q / a, a / b, c * d / (e * h), c * d / (f * h), c * d / (g * h), b * c, b * d],
             [a * e, a * f, a * g, b * e, b * f, b * g, b * h, b * c * d / h],
             ctx,
@@ -397,12 +384,12 @@ def _two43_rhs(p, ctx):
     a, b, c, d, e, f = (p[k] for k in "abcdef")
     q = ctx.q
     z = a * a * q * q / (b * c * d * e * f)
-    t1 = _pratio(
+    t1 = qpoch_ratio(
         [a * q, a * q / (d * e), a * q / (d * f), a * q / (e * f)],
         [a * q / d, a * q / e, a * q / f, a * q / (d * e * f)],
         ctx,
     ) * rphis([a * q / (b * c), d, e, f], [a * q / b, a * q / c, d * e * f / a], q, ctx).require()
-    t2 = _pratio(
+    t2 = qpoch_ratio(
         [a * q, a * q / (b * c), d, e, f,
          a * a * q * q / (b * d * e * f), a * a * q * q / (c * d * e * f)],
         [a * q / b, a * q / c, a * q / d, a * q / e, a * q / f, z, d * e * f / (a * q)],
@@ -646,7 +633,7 @@ def _thm31s_rhs(p, ctx):
     xs, a, bs, c1, c2, d = p["x"], p["a"], p["b"], p["c1"], p["c2"], p["d"]
 
     def half(u, v):
-        pref = _pratio([u * d, v], [d, v / u], ctx)
+        pref = qpoch_ratio([u * d, v], [d, v / u], ctx)
         for xi in xs:
             pref *= qpoch_infinite(a * q * xi, ctx) / qpoch_infinite(a * q * xi / u, ctx)
         for bj in bs:
@@ -679,11 +666,11 @@ def _thm31i_rhs(p, ctx):
     M = len(a) - 3
     aM2, aM3, bM3 = a[M + 1], a[M + 2], b[M + 2]
     alpha = q * bM3 / (aM2 * aM3)
-    pref = _pratio(
+    pref = qpoch_ratio(
         [q, a[M] / bM3, aM2 / aM3, aM3 / aM2], [], ctx
     ) * (1 - q) * q / (aM3 - aM2)
     for i in range(M):
-        pref *= _pratio([q * a[i] / aM2, q * a[i] / aM3], [q * alpha * a[i]], ctx)
+        pref *= qpoch_ratio([q * a[i] / aM2, q * a[i] / aM3], [q * alpha * a[i]], ctx)
     for j in range(M + 2):
         pref *= qpoch_infinite(q * alpha * b[j], ctx)
     for j in range(M + 3):
@@ -732,7 +719,7 @@ def _cor33a_rhs(p, ctx):
     q = ctx.q
     xs, a, bs, c1, c2, d = p["x"], p["a"], p["b"], p["c1"], p["c2"], p["d"]
     x1 = xs[0]
-    pref = _pratio(
+    pref = qpoch_ratio(
         [c1 * d, c2 * d, a * q * x1, a * q * x1 / (c1 * c2)],
         [d, c1 * c2 * d, a * q * x1 / c1, a * q * x1 / c2],
         ctx,
@@ -841,15 +828,15 @@ def _cor33t_rhs(p, ctx):
     xs, a, bs, c1, c2, d = p["x"], p["a"], p["b"], p["c1"], p["c2"], p["d"]
 
     def half(u, v):
-        pref = _pratio([u, q / u, v * d, q / (v * d)], [d, q / d, u / v, q * v / u], ctx)
+        pref = qpoch_ratio([u, q / u, v * d, q / (v * d)], [d, q / d, u / v, q * v / u], ctx)
         for xi in xs:
-            pref *= _pratio(
+            pref *= qpoch_ratio(
                 [a * q * xi, a * q * q * xi / (u * v * d)],
                 [a * q * xi / v, a * q * q * xi / (u * d)],
                 ctx,
             )
         for bj in bs:
-            pref *= _pratio(
+            pref *= qpoch_ratio(
                 [a * q / (v * bj), a * q * q / (u * d * bj)],
                 [a * q / bj, a * q * q / (u * v * d * bj)],
                 ctx,
@@ -906,7 +893,7 @@ def _w87_rhs(p, ctx):
     a, b, c, d, e, f = (p[k] for k in "abcdef")
     q = ctx.q
     lam = q * a * a / (b * c * d)
-    pref = _pratio(
+    pref = qpoch_ratio(
         [a * q, a * q / (e * f), lam * q / e, lam * q / f],
         [a * q / e, a * q / f, lam * q, lam * q / (e * f)],
         ctx,
@@ -1152,7 +1139,7 @@ def _psi_lhs(p, ctx):
 
 
 def _psi_rhs(p, ctx):
-    return _pratio(list(p["c"]), list(p["d"]), ctx)
+    return qpoch_ratio(list(p["c"]), list(p["d"]), ctx)
 
 
 # --------------------------------------------------------- degenerate system
@@ -1505,9 +1492,9 @@ def _heine_lhs(p, ctx):
 def _heine_rhs(p, ctx):
     A, B, C, x = p["A"], p["B"], p["C"], p["x"]
     if p["variant"] == 0:
-        pref = _pratio([C / B, B * x], [C, x], ctx)
+        pref = qpoch_ratio([C / B, B * x], [C, x], ctx)
         return pref * rphis([A * B * x / C, B], [B * x], C / B, ctx).require()
-    pref = _pratio([B * x], [x], ctx)
+    pref = qpoch_ratio([B * x], [x], ctx)
     return pref * rphis([B, C / A], [C, B * x], A * x, ctx).require()
 
 

@@ -14,11 +14,11 @@ and lattice steps multiply by exact integer powers of q^alpha.
 Every lattice sum here (one-sided, each half of a bilateral sum, the
 Jordan-Pochhammer and the degenerate integral) is one stall loop,
 ``_lattice_sum``.  Every integrand of this module is a ``_Ratio`` of infinite
-products, evaluated directly by ``_product_ratio`` from qcore's
-``qpoch_infinite``: numerators first, so that an exact lattice zero returns 0
-before any denominator (which could sit on its pole there) is evaluated; a
-vanishing denominator factor raises PoleHit.  Along its lattice a ``_Ratio``
-is stepped from one point to the next,
+products, evaluated directly by qcore's ratio kernel (``qpoch_ratio``): one
+grid of factors, divided column by column, where an exact lattice zero of a
+numerator returns 0 and a vanishing denominator factor raises PoleHit, rows
+taken in order, numerators first.  Along its lattice a ``_Ratio`` is stepped
+from one point to the next,
 
   psi(t q) = psi(t) prod_k (1 - den_k t) / prod_k (1 - num_k t),
 
@@ -34,11 +34,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NoConvergence, NonFinite, PoleHit
-from .qcore import _TAIL, QContext
-# a private name: the products are part of this layer's per-point work, and
+import numpy as np
+
+from .errors import DomainError, NoConvergence, NonFinite
+# private names: the products are part of this layer's per-point work, and
 # per-layer tracing wraps only the public names one module imports from another
-from .qcore import qpoch_infinite as _qpoch
+from .qcore import _TAIL, QContext, _ratio
 
 
 @dataclass(frozen=True)
@@ -113,44 +114,29 @@ def q_exponent(value, ctx: QContext):
     return cmath.log(value) / cmath.log(ctx.q)
 
 
-def _product_ratio(num, den, t, ctx: QContext):
-    """prod_k (num_k t; q)_inf / prod_k (den_k t; q)_inf.
-
-    A numerator factor within 1e-12 of zero is an exact lattice zero: return 0
-    without evaluating the denominators.  A vanishing denominator factor is a
-    pole and raises PoleHit."""
-    val = 1.0 + 0.0j
-    for c in num:
-        p = _qpoch(c * t, ctx, "zero")
-        if p == 0:
-            return 0.0 + 0.0j
-        val *= p
-    for c in den:
-        val /= _qpoch(c * t, ctx, "pole")
-    return val
-
-
 class _Ratio:
     """The integrand t -> prod_k (num_k t; q)_inf / prod_k (den_k t; q)_inf.
 
-    A call is _product_ratio; _lattice_sum also reads num and den to step it
-    along a lattice of base q.  reach is the |t| from which some (c t; q)_inf
+    A call is qcore's ratio kernel at the arguments c t, over a coefficient
+    array held here; _lattice_sum also reads num and den to step it along a
+    lattice of base q.  reach is the |t| from which some (c t; q)_inf
     may need more than infinite_product_cutoff factors, so that the direct
     evaluation raises NoConvergence (halved, so that rounding in c t cannot
     cross it)."""
 
-    __slots__ = ("num", "den", "ctx", "reach")
+    __slots__ = ("num", "den", "ctx", "reach", "_coef")
 
     def __init__(self, num, den, ctx: QContext):
         self.num = num
         self.den = den
         self.ctx = ctx
+        self._coef = np.array([*num, *den], dtype=complex)
         size = max(map(abs, num + den), default=0.0)
         log_reach = math.log(_TAIL / 2) - ctx.infinite_product_cutoff * math.log(abs(ctx.q))
         self.reach = math.exp(min(log_reach - math.log(size), 700.0)) if size else math.inf
 
     def __call__(self, t):
-        return _product_ratio(self.num, self.den, t, self.ctx)
+        return _ratio(self._coef, t, len(self.num), self.ctx)
 
 
 # A stepped value carries the rounding of every step since its last direct
@@ -270,6 +256,8 @@ def rp_integral(bp: BalancedParams, i: int, j: int, ctx: QContext) -> complex:
         raise DomainError(f"endpoint indices must lie in 1..{n}")
     if i == j:
         return 0.0 + 0.0j
+    if bp.a[i - 1] == 0 or bp.a[j - 1] == 0:
+        raise DomainError("rp_integral needs a_i != 0 and a_j != 0 (endpoints q/a_i, q/a_j)")
     psi = rp_integrand(bp, ctx)
     return jackson_between(ctx.q / bp.a[i - 1], ctx.q / bp.a[j - 1], psi, ctx)
 
@@ -284,7 +272,10 @@ def jp_integral(p: JPParams, x, ctx: QContext, tau_power=None) -> complex:
     """
     if abs(p.alpha_power) >= 1:
         raise DomainError("jp_integral needs |q^alpha| < 1")
-    growth = (p.A * math.prod(p.a)) / (p.alpha_power * p.B * math.prod(p.b))
+    scale = p.alpha_power * p.B * math.prod(p.b)
+    if scale == 0:
+        raise DomainError("jp_integral needs q^alpha != 0 and B prod(b) != 0")
+    growth = p.A * math.prod(p.a) / scale
     if abs(growth) >= 1:
         raise DomainError(
             f"bilateral convergence violated: |q^-alpha A prod(a)/(B prod(b))| = {abs(growth)}"
@@ -319,6 +310,8 @@ def degene_integral(j: int, a, b, qlambda, ctx: QContext, tau_power=None) -> com
     qlp1 = qlambda * ctx.q
     if abs(qlp1) >= 1:
         raise DomainError(f"degene_integral needs |q^(lambda+1)| < 1, got {abs(qlp1)}")
+    if a[j - 1] == 0:
+        raise DomainError("degene_integral needs a_j != 0 (endpoint q/a_j)")
     tau = ctx.q / a[j - 1]
     if tau_power is None:
         lam = q_exponent(qlambda, ctx)

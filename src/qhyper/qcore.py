@@ -2,13 +2,18 @@
 
 All evaluation happens in complex double precision with a base |q| < 1.  The
 QContext bundles q together with the truncation knobs every summation in the
-package shares, so numerical policy lives in one place.  Every (a; q)_inf in
-the package, Jackson integrands included, is the one product of
-``qpoch_infinite``; how a vanishing factor is read (plain, an exact zero, a
-pole) is an explicit argument of it.
+package shares, so numerical policy lives in one place.  There are two
+(a; q)_inf kernels with one set of rules (which factors are kept, the factor
+cap, the snap of a vanishing factor): ``qpoch_infinite`` multiplies out a
+single product in a loop, and how a vanishing factor is read (plain, an exact
+zero, a pole) is an explicit argument of it; ``qpoch_ratio`` takes a ratio of
+products (every Jackson integrand, and the prefactors of three or more
+products) from one numpy grid of factors, divided column by column so that
+no single product is ever formed.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +27,31 @@ _LOG_TAIL = math.log(_TAIL)
 # |a q^j| within _SNAP of 1, so only factors with |a q^j| in [1/2, 2] are tested.
 _SNAP = 1e-12
 _LOG2 = math.log(2.0)
+
+
+def _factor_count(loga, rate, cutoff):
+    """How many factors 1 - a q^j of (a; q)_inf are kept, for log|a| = loga >=
+    log(_TAIL) and rate = -log|q|: those with |a q^j| >= _TAIL, or cutoff + 1
+    when that is more than the cap."""
+    x = (loga - _LOG_TAIL) / rate
+    return int(x) + 1 if x < cutoff else cutoff + 1
+
+
+def _snap_window(loga, rate, stop):
+    """The range of j < stop whose factor 1 - a q^j can come within _SNAP of 0:
+    those with |a q^j| in [1/2, 2], for log|a| = loga (empty when |a| < 1/2)."""
+    if loga < -_LOG2:
+        return 0, 0
+    lo = min(stop, max(0, math.ceil((loga - _LOG2) / rate)))
+    hi = min(stop, math.floor((loga + _LOG2) / rate) + 1)
+    return lo, hi
+
+
+def _too_many(size, cutoff):
+    return NoConvergence(
+        f"(a; q)_inf needs more than {cutoff} factors for |a| = {size:.1e} "
+        f"(|q| too close to 1)"
+    )
 
 
 @dataclass(frozen=True)
@@ -100,15 +130,12 @@ def qpoch_infinite(a: complex, ctx: QContext, vanish: str | None = None) -> comp
     rate = -math.log(abs(q))
     loga = math.log(size)
     cutoff = ctx.infinite_product_cutoff
-    x = (loga - _LOG_TAIL) / rate
-    n = int(x) + 1 if x < cutoff else cutoff + 1
+    n = _factor_count(loga, rate, cutoff)
     stop = min(n, cutoff)
     prod = 1.0 + 0.0j
     hi = 0
-    if vanish is not None and size >= 0.5:
-        # only the factors with |a q^j| in [1/2, 2] are tested
-        lo = min(stop, max(0, math.ceil((loga - _LOG2) / rate)))
-        hi = min(stop, math.floor((loga + _LOG2) / rate) + 1)
+    if vanish is not None:
+        lo, hi = _snap_window(loga, rate, stop)
         for _ in range(lo):
             prod *= 1.0 - aq
             aq *= q
@@ -124,11 +151,85 @@ def qpoch_infinite(a: complex, ctx: QContext, vanish: str | None = None) -> comp
         prod *= 1.0 - aq
         aq *= q
     if n > cutoff:
-        raise NoConvergence(
-            f"(a; q)_inf needs more than {cutoff} factors for |a| = {size:.1e} "
-            f"(|q| too close to 1)"
-        )
+        raise _too_many(size, cutoff)
     return prod
+
+
+# The ratio kernel imports numpy where it runs.  qcore is the package's first
+# module, and numpy loaded before the larger modules are compiled (when no
+# bytecode cache is written) raises the peak memory of `import qhyper.cli`
+# from about 31 MB to 35 MB.
+
+
+@functools.lru_cache(maxsize=8)
+def _powers(q, cutoff):
+    """-log|q|, and q^j for j < cutoff as an array and as a list, and the
+    column indices j."""
+    import numpy as np
+
+    row = np.full(cutoff, q, dtype=complex)
+    row[0] = 1.0
+    row = np.multiply.accumulate(row)
+    return -math.log(abs(q)), row, row.tolist(), np.arange(cutoff)
+
+
+def qpoch_ratio(num, den, ctx: QContext) -> complex:
+    """prod_k (num_k; q)_inf / prod_k (den_k; q)_inf.
+
+    Each product keeps the factors qpoch_infinite keeps, under the same cap,
+    and a vanishing factor reads as in its "zero" mode for a numerator and its
+    "pole" mode for a denominator.  Rows are taken in order, numerators first,
+    as a loop of qpoch_infinite calls would: the first row with a vanishing
+    factor returns 0 (a numerator) or raises PoleHit (a denominator), and the
+    first row past the cap raises NoConvergence, whichever comes first (a
+    vanishing factor within the cap wins over its own row's NoConvergence).
+    Otherwise a NaN or infinite argument gives NaN.
+    """
+    import numpy as np
+
+    return _ratio(np.array([*num, *den], dtype=complex), 1.0, len(num), ctx)
+
+
+def _ratio(coef, t, split, ctx: QContext) -> complex:
+    """qpoch_ratio at the arguments coef * t, coef[:split] the numerators.
+
+    The factors 1 - c_k t q^j form one grid, a row per argument and a column
+    per j, each row padded with 1 past its last kept factor, and the value is
+    prod_j [prod_k num_kj / prod_k den_kj]: no single product is formed, so
+    none overflows on its own (|c t| large on the n < 0 half of a bilateral
+    lattice).  The rows' factor counts and vanishing factors are settled
+    first, row by row, with qpoch_infinite's rules.
+    """
+    import numpy as np
+
+    cutoff = ctx.infinite_product_cutoff
+    rate, powers, power_list, cols = _powers(ctx.q, cutoff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        args = coef * t
+        stops = []
+        nan = False
+        for k, a in enumerate(args.tolist()):
+            size = abs(a)
+            n = 0
+            if not size < math.inf:  # NaN or inf
+                nan = True
+            elif size >= _TAIL:
+                loga = math.log(size)
+                n = _factor_count(loga, rate, cutoff)
+                lo, hi = _snap_window(loga, rate, min(n, cutoff))
+                for j in range(lo, hi):
+                    if abs(1.0 - a * power_list[j]) < _SNAP:
+                        if k < split:
+                            return 0.0 + 0.0j
+                        raise PoleHit(f"denominator factor vanishes at argument {a}")
+                if n > cutoff:
+                    raise _too_many(size, cutoff)
+            stops.append(n)
+        width = max(stops, default=0)
+        grid = np.where(cols[:width] < np.array(stops)[:, None],
+                        1.0 - args[:, None] * powers[:width], 1.0)
+        val = complex((grid[:split].prod(axis=0) / grid[split:].prod(axis=0)).prod())
+    return complex(math.nan, math.nan) if nan else val
 
 
 def theta(x: complex, ctx: QContext) -> complex:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhyper.errors import DivisionByZero, DomainError, NoConvergence, PoleHit
-from qhyper.qcore import QContext, elem_sym, qpoch_finite, qpoch_infinite, theta
+from qhyper.qcore import QContext, elem_sym, qpoch_finite, qpoch_infinite, qpoch_ratio, theta
 
 CTX = QContext(q=0.5)
 
@@ -264,3 +264,111 @@ def test_qcontext_rejects_bad_q():
 def test_qcontext_rejects_rel_tol_that_is_not_finite_and_positive(tol):
     with pytest.raises(DomainError, match="rel_tol"):
         QContext(q=0.5, rel_tol=tol)
+
+
+# ------------------------------------------- the ratio kernel vs qpoch_infinite
+#
+# qpoch_ratio takes the factors of every product in one grid; its reference
+# is the ratio of qpoch_infinite products, rows in order, numerators in "zero"
+# mode first, then denominators in "pole" mode.
+
+RATIO_QS = (0.5, 0.7, -0.5, 0.6 * cmath.exp(0.5j))
+_EPS = sys.float_info.epsilon
+
+
+def _by_products(num, den, ctx):
+    val = 1.0 + 0.0j
+    for c in num:
+        p = qpoch_infinite(c, ctx, "zero")
+        if p == 0:
+            return 0.0 + 0.0j
+        val *= p
+    for c in den:
+        val /= qpoch_infinite(c, ctx, "pole")
+    return val
+
+
+def _ratio_args(rng, ctx, count):
+    """Arguments of every kind the rules tell apart: 0, NaN, inf, |a| < 1e-14,
+    past the factor cap, on the lattice q^-k (1 + delta) with |delta| <= 2e-12
+    (a vanishing factor, or just not), and |a| log-uniform in [1e-16, 1e3]."""
+    q, cutoff = ctx.q, ctx.infinite_product_cutoff
+    out = []
+    for _ in range(count):
+        u, phase = rng.random(), cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+        if u < 0.03:
+            out.append(0.0)
+        elif u < 0.05:
+            out.append(complex(math.nan, 0.0))
+        elif u < 0.07:
+            out.append(complex(math.inf, 0.0))
+        elif u < 0.10:
+            out.append(rng.uniform(0.01, 0.99) * 1e-14 * phase)
+        elif u < 0.12:
+            out.append(2e-14 * abs(q) ** -cutoff * phase)
+        elif u < 0.22:
+            out.append(q ** -rng.randrange(6) * (1.0 + rng.uniform(0.0, 2e-12) * phase))
+        else:
+            out.append(10.0 ** rng.uniform(-16, 3) * phase)
+    return out
+
+
+def _ratio_tolerance(args, ctx):
+    """A few eps for each kept factor 1 - y, y = c q^j, scaled by its
+    condition: the two kernels round y differently, and the factor carries
+    that rounding relative to |1 - y|."""
+    tol = 0.0
+    for c in args:
+        y = complex(c)
+        while abs(y) >= 1e-14:
+            tol += 4 * _EPS * (1 + abs(y) / abs(1 - y))
+            y *= ctx.q
+    return tol
+
+
+@pytest.mark.parametrize("q", RATIO_QS)
+def test_qpoch_ratio_matches_products(q):
+    ctx = QContext(q=q, infinite_product_cutoff=120)
+    rng = random.Random(400 + RATIO_QS.index(q))
+    seen = set()
+    for _ in range(600):
+        num = _ratio_args(rng, ctx, rng.randrange(7))
+        den = _ratio_args(rng, ctx, rng.randrange(7))
+        ref, got = _outcome(_by_products, num, den, ctx), _outcome(qpoch_ratio, num, den, ctx)
+        if isinstance(ref, type) or isinstance(got, type):
+            assert got is ref, (num, den, got, ref)
+            seen.add(ref)
+        elif cmath.isnan(ref):
+            assert cmath.isnan(got), (num, den, got)
+            seen.add("nan")
+        elif ref == 0:
+            assert got == 0, (num, den, got)
+            seen.add(0)
+        else:
+            assert abs(got - ref) <= _ratio_tolerance(num + den, ctx) * abs(ref), (num, den, got, ref)
+            seen.add("value")
+    assert seen == {NoConvergence, PoleHit, "nan", 0, "value"}
+
+
+def test_qpoch_ratio_empty_rows_and_order():
+    ctx = QContext(q=0.5, infinite_product_cutoff=60)
+    big = 1e-14 * 2.0 ** 61  # past the cap
+    assert qpoch_ratio([], [], ctx) == 1.0
+    assert qpoch_ratio([1e-15], [0.0], ctx) == 1.0
+    assert abs(qpoch_ratio([0.3], [], ctx) - qpoch_infinite(0.3, ctx)) <= 4e-15
+    assert abs(qpoch_ratio([], [0.3], ctx) * qpoch_infinite(0.3, ctx) - 1) <= 4e-15
+    # the first row with an event decides, numerators first
+    assert qpoch_ratio([4.0, big], [1.0], ctx) == 0
+    with pytest.raises(NoConvergence, match="more than 60 factors"):
+        qpoch_ratio([big, 4.0], [1.0], ctx)
+    with pytest.raises(PoleHit):
+        qpoch_ratio([0.3, complex(math.nan, 0.0)], [2.0, big], ctx)
+    with pytest.raises(NoConvergence):
+        qpoch_ratio([0.3], [big, 2.0], ctx)
+    # 2^15 needs 62 factors, and its 16th vanishes: that wins over its own
+    # row's NoConvergence
+    assert qpoch_ratio([2.0 ** 15], [], ctx) == 0
+    with pytest.raises(PoleHit):
+        qpoch_ratio([0.3], [2.0 ** 15], ctx)
+    assert cmath.isnan(qpoch_ratio([complex(math.inf, 0.0)], [0.3], ctx))
+    assert qpoch_ratio([complex(math.nan, 0.0), 1.0], [0.3], ctx) == 0
