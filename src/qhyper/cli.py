@@ -211,11 +211,10 @@ class SchemaError(ValueError):
 
 
 def _as_complex(raw, name):
-    if isinstance(raw, (int, float)):
-        return complex(raw, 0.0)
-    if (isinstance(raw, list) and len(raw) == 2
-            and all(isinstance(v, (int, float)) for v in raw)):
-        return complex(raw[0], raw[1])
+    parts = raw if isinstance(raw, list) and len(raw) == 2 else (raw, 0.0)
+    # JSON true/false load as bool, which Python counts as an int
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        return complex(*parts)
     raise SchemaError(f"field '{name}': expected a number or [re, im]")
 
 

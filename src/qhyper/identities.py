@@ -80,6 +80,7 @@ from .series import (
     rphis,
     sum_shells,
     vwp_W,
+    wm2_params,
 )
 
 DEFAULT_Q = 0.5 + 0.0j
@@ -633,11 +634,11 @@ def _thm31s_rhs(p, ctx):
     xs, a, bs, c1, c2, d = p["x"], p["a"], p["b"], p["c1"], p["c2"], p["d"]
 
     def half(u, v):
-        pref = qpoch_ratio([u * d, v], [d, v / u], ctx)
-        for xi in xs:
-            pref *= qpoch_infinite(a * q * xi, ctx) / qpoch_infinite(a * q * xi / u, ctx)
-        for bj in bs:
-            pref *= qpoch_infinite(a * q / (u * bj), ctx) / qpoch_infinite(a * q / bj, ctx)
+        pref = qpoch_ratio(
+            [u * d, v] + [a * q * xi for xi in xs] + [a * q / (u * bj) for bj in bs],
+            [d, v / u] + [a * q * xi / u for xi in xs] + [a * q / bj for bj in bs],
+            ctx,
+        )
         upper = [u] + [a * q / (v * bj) for bj in bs]
         lower = [q * u / v, u * d] + [a * q * xi / v for xi in xs]
         return pref * rphis(upper, lower, q, ctx).require()
@@ -656,42 +657,12 @@ def _thm31i_admissible(p, ctx):
 
 def _thm31i_lhs(p, ctx):
     bp = BalancedParams(a=p["a"], b=p["b"])
-    M = bp.M
-    return rp_integral(bp, M + 2, M + 3, ctx)
+    return rp_integral(bp, bp.M + 2, bp.M + 3, ctx)
 
 
 def _thm31i_rhs(p, ctx):
     q = ctx.q
-    a, b = p["a"], p["b"]
-    M = len(a) - 3
-    aM2, aM3, bM3 = a[M + 1], a[M + 2], b[M + 2]
-    alpha = q * bM3 / (aM2 * aM3)
-    pref = qpoch_ratio(
-        [q, a[M] / bM3, aM2 / aM3, aM3 / aM2], [], ctx
-    ) * (1 - q) * q / (aM3 - aM2)
-    for i in range(M):
-        pref *= qpoch_ratio([q * a[i] / aM2, q * a[i] / aM3], [q * alpha * a[i]], ctx)
-    for j in range(M + 2):
-        pref *= qpoch_infinite(q * alpha * b[j], ctx)
-    for j in range(M + 3):
-        pref /= qpoch_infinite(q * b[j] / aM2, ctx) * qpoch_infinite(q * b[j] / aM3, ctx)
-    return pref * _wm2_integral_form(a[: M + 2], b[: M + 2], aM3, bM3, ctx)
-
-
-def _wm2_integral_form(a, b, aM3, bM3, ctx):
-    """W^{M,2} in the integral data a_1..a_{M+2}, a_{M+3}; b_1..b_{M+2}, b_{M+3}."""
-    q = ctx.q
-    M = len(a) - 2
-    return kajihara_W(
-        KajiharaParams(
-            x=a[:M],
-            a=q * bM3 / (a[M + 1] * aM3),
-            u=tuple(1 / bj for bj in b),
-            v=(q * bM3 / a[M + 1], q * bM3 / aM3),
-            z=a[M] / bM3,
-        ),
-        ctx,
-    ).require()
+    return q * (1 - q) * qpoch_infinite(q, ctx) * _wnorm(p["a"], p["b"], ctx)
 
 
 # ------------------------------------------ W^{M,2} symmetries (d balanced)
@@ -775,15 +746,12 @@ def _cor33b_rhs(p, ctx):
     q = ctx.q
     xs, a, bs, c1, c2, d = p["x"], p["a"], p["b"], p["c1"], p["c2"], p["d"]
     b1 = bs[0]
-    pref = qpoch_infinite(c1 * c2 * b1 * d / (a * q), ctx) / qpoch_infinite(d, ctx)
-    for xi in xs:
-        pref *= qpoch_infinite(a * q * xi, ctx) / qpoch_infinite(
-            a * a * q * q * xi / (c1 * c2 * b1), ctx
-        )
-    for bj in bs[1:]:
-        pref *= qpoch_infinite(a * a * q * q / (c1 * c2 * b1 * bj), ctx) / qpoch_infinite(
-            a * q / bj, ctx
-        )
+    pref = qpoch_ratio(
+        [c1 * c2 * b1 * d / (a * q)] + [a * q * xi for xi in xs]
+        + [a * a * q * q / (c1 * c2 * b1 * bj) for bj in bs[1:]],
+        [d] + [a * a * q * q * xi / (c1 * c2 * b1) for xi in xs] + [a * q / bj for bj in bs[1:]],
+        ctx,
+    )
     w = kajihara_W(
         KajiharaParams(
             x=xs,
@@ -828,19 +796,15 @@ def _cor33t_rhs(p, ctx):
     xs, a, bs, c1, c2, d = p["x"], p["a"], p["b"], p["c1"], p["c2"], p["d"]
 
     def half(u, v):
-        pref = qpoch_ratio([u, q / u, v * d, q / (v * d)], [d, q / d, u / v, q * v / u], ctx)
+        num = [u, q / u, v * d, q / (v * d)]
+        den = [d, q / d, u / v, q * v / u]
         for xi in xs:
-            pref *= qpoch_ratio(
-                [a * q * xi, a * q * q * xi / (u * v * d)],
-                [a * q * xi / v, a * q * q * xi / (u * d)],
-                ctx,
-            )
+            num += [a * q * xi, a * q * q * xi / (u * v * d)]
+            den += [a * q * xi / v, a * q * q * xi / (u * d)]
         for bj in bs:
-            pref *= qpoch_ratio(
-                [a * q / (v * bj), a * q * q / (u * d * bj)],
-                [a * q / bj, a * q * q / (u * v * d * bj)],
-                ctx,
-            )
+            num += [a * q / (v * bj), a * q * q / (u * d * bj)]
+            den += [a * q / bj, a * q * q / (u * v * d * bj)]
+        pref = qpoch_ratio(num, den, ctx)
         w = kajihara_W(
             KajiharaParams(x=xs, a=a * q / (u * d), u=bs, v=(v, q / d), z=q / u), ctx
         ).require()
@@ -1318,9 +1282,7 @@ def _qal_trans_lhs(p, ctx):
 def _qal_trans_rhs(p, ctx):
     C, Bprod = p["C"], math.prod(p["B"])
     s1 = qal_solution(1, _qal_params(p), ctx).require()
-    s2 = qal_solution(2, _qal_params(p), ctx).require() * qpoch_infinite(
-        C / Bprod, ctx
-    ) / qpoch_infinite(C, ctx)
+    s2 = qal_solution(2, _qal_params(p), ctx).require() * qpoch_ratio([C / Bprod], [C], ctx)
     s3 = qal_solution(3, _qal_params(p), ctx).require()
     return s1, s2, s3
 
@@ -1328,11 +1290,9 @@ def _qal_trans_rhs(p, ctx):
 def _andrews_rhs(p, ctx):
     A, Bs, C, xs = p["A"], p["B"], p["C"], p["x"]
     M = len(xs)
-    pref = qpoch_infinite(A, ctx) / qpoch_infinite(C, ctx)
-    for i in range(M):
-        pref *= qpoch_infinite(Bs[i] * xs[i], ctx) / qpoch_infinite(xs[i], ctx)
     upper = [C / A] + list(xs)
     lower = [Bs[i] * xs[i] for i in range(M)]
+    pref = qpoch_ratio([A] + lower, [C] + list(xs), ctx)
     return pref * rphis(upper, lower, A, ctx).require()
 
 
@@ -1370,11 +1330,11 @@ def _kphid_lhs(p, ctx):
     M = len(xs)
     aprod = math.prod(a)
     xM = xs[M - 1]
-    pref = qpoch_infinite(u, ctx) / qpoch_infinite(aprod * u, ctx)
-    for i in range(M):
-        pref *= qpoch_infinite(c * xs[i] / xM, ctx) / qpoch_infinite(
-            (c / a[i]) * xs[i] / xM, ctx
-        )
+    pref = qpoch_ratio(
+        [u] + [c * xi / xM for xi in xs],
+        [aprod * u] + [(c / a[i]) * xs[i] / xM for i in range(M)],
+        ctx,
+    )
     spec = ShellSpec(
         Factor(w=u),
         dirs=tuple(
@@ -1419,7 +1379,7 @@ def _gen1_lhs(p, ctx):
     a, b, x = p["a"], p["b"], p["x"]
     M = len(b)
     z0 = math.prod(a) * x / math.prod(b)
-    pref = qpoch_infinite(z0, ctx) / qpoch_infinite(x, ctx)
+    pref = qpoch_ratio([z0], [x], ctx)
     spec = ShellSpec(
         Factor(w=z0),
         dirs=tuple(
@@ -1450,7 +1410,7 @@ def _gen2_lhs(p, ctx):
     M = len(b)
     aM1 = a[M]
     z1 = -math.prod(a) * x / (aM1 * math.prod(b))
-    pref = qpoch_infinite(aM1 * x, ctx) / qpoch_infinite(x, ctx)
+    pref = qpoch_ratio([aM1 * x], [x], ctx)
     spec = ShellSpec(
         Factor(w=z1, a=(aM1,), b=(aM1 * x,)),
         dirs=tuple(
@@ -1666,7 +1626,8 @@ def _serlim_admissible(p, ctx):
 
 
 def _serlim_lhs(p, ctx):
-    return _wm2_integral_form(p["a"], p["b"], *_far_pair(p, ctx), ctx)
+    aM3, bM3 = _far_pair(p, ctx)
+    return kajihara_W(wm2_params(p["a"] + (aM3,), p["b"] + (bM3,), ctx), ctx).require()
 
 
 def _serlim_rhs(p, ctx):

@@ -218,6 +218,15 @@ def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False
     raise NoConvergence(f"{where} did not stall within {cap} lattice points")
 
 
+def _bilateral_sum(tau, w, wstep, f, ctx: QContext, where):
+    """(1-q) sum_{n in Z} f(tau q^n) w wstep^n, the n >= 0 half first."""
+    q = ctx.q
+    total = _lattice_sum(tau, q, w, wstep, f, ctx, 0.0 + 0.0j, f"{where} (n >= 0)")
+    total = _lattice_sum(tau / q, q, w / wstep, wstep, f, ctx, total, f"{where} (n < 0)",
+                         divide=True)
+    return (1.0 - q) * total
+
+
 def jackson_0_to(tau, f, ctx: QContext) -> complex:
     """(1-q) sum_{n>=0} f(tau q^n) tau q^n, with stall-based truncation."""
     if tau == 0:
@@ -230,12 +239,8 @@ def jackson_bilateral(tau, f, ctx: QContext) -> complex:
     """(1-q) sum_{n in Z} f(tau q^n) tau q^n over the full bilateral lattice."""
     if tau == 0:
         raise DomainError("bilateral lattice needs tau != 0")
-    q = ctx.q
     t = complex(tau)
-    total = _lattice_sum(t, q, t, q, f, ctx, 0.0 + 0.0j, "jackson_bilateral (n >= 0)")
-    t = t / q
-    total = _lattice_sum(t, q, t, q, f, ctx, total, "jackson_bilateral (n < 0)", divide=True)
-    return (1.0 - q) * total
+    return _bilateral_sum(t, t, ctx.q, f, ctx, "jackson_bilateral")
 
 
 def jackson_between(tau1, tau2, f, ctx: QContext) -> complex:
@@ -289,12 +294,8 @@ def jp_integral(p: JPParams, x, ctx: QContext, tau_power=None) -> complex:
 
     F = _Ratio((p.A * x,) + tuple(complex(v) for v in p.a),
                (p.B * x,) + tuple(complex(v) for v in p.b), ctx)
-    q = ctx.q
     w = tau * tau_power
-    total = _lattice_sum(tau, q, w, p.alpha_power, F, ctx, 0.0 + 0.0j, "jp_integral (n >= 0)")
-    total = _lattice_sum(tau / q, q, w / p.alpha_power, p.alpha_power, F, ctx, total,
-                         "jp_integral (n < 0)", divide=True)
-    return (1.0 - q) * total
+    return _bilateral_sum(tau, w, p.alpha_power, F, ctx, "jp_integral")
 
 
 def degene_integral(j: int, a, b, qlambda, ctx: QContext, tau_power=None) -> complex:

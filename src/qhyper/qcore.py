@@ -4,12 +4,14 @@ All evaluation happens in complex double precision with a base |q| < 1.  The
 QContext bundles q together with the truncation knobs every summation in the
 package shares, so numerical policy lives in one place.  There are two
 (a; q)_inf kernels with one set of rules (which factors are kept, the factor
-cap, the snap of a vanishing factor): ``qpoch_infinite`` multiplies out a
-single product in a loop, and how a vanishing factor is read (plain, an exact
-zero, a pole) is an explicit argument of it; ``qpoch_ratio`` takes a ratio of
-products (every Jackson integrand, and the prefactors of three or more
-products) from one numpy grid of factors, divided column by column so that
-no single product is ever formed.
+cap, the snap of a vanishing factor).  A product or ratio of two or more
+products (every Jackson integrand and every prefactor) is one ``qpoch_ratio``
+call, from one numpy grid of factors divided column by column so that no
+single product is ever formed; a factor within 1e-12 of zero reads as an
+exact zero in a numerator and as a pole (PoleHit) in a denominator.
+``qpoch_infinite`` multiplies out a product that stands alone (theta,
+(q; q)_inf) in a loop, with the reading of a vanishing factor (plain, an
+exact zero, a pole) an explicit argument.
 """
 from __future__ import annotations
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoConvergence, NonFinite, TermEvaluationError
-from .qcore import QContext, qpoch_infinite
+from .qcore import QContext, qpoch_ratio
 
 _TERMINATE_TOL = 1e-12
 # A block of shells holds at least this many terms; the target doubles from
@@ -562,6 +562,26 @@ def kajihara_W(p: KajiharaParams, ctx: QContext) -> SeriesResult:
     return _sum_spec(spec, M, ctx, cap)
 
 
+def wm2_params(a, b, ctx: QContext) -> KajiharaParams:
+    """Theorem 3.1's data map: the arguments of W^{M,2} in the balanced data
+    a_1..a_{M+3}, b_1..b_{M+3},
+
+        x = (a_1, .., a_M),  a = q b_{M+3}/(a_{M+2} a_{M+3}),
+        u = (1/b_1, .., 1/b_{M+2}),  v = (q b_{M+3}/a_{M+2}, q b_{M+3}/a_{M+3}),
+        z = a_{M+1}/b_{M+3}.
+    """
+    M = len(a) - 3
+    q = ctx.q
+    aM2, aM3, bM3 = a[M + 1], a[M + 2], b[M + 2]
+    return KajiharaParams(
+        x=tuple(a[:M]),
+        a=q * bM3 / (aM2 * aM3),
+        u=tuple(1.0 / bj for bj in b[: M + 2]),
+        v=(q * bM3 / aM2, q * bM3 / aM3),
+        z=a[M] / bM3,
+    )
+
+
 def W_normalized(bp, ctx: QContext) -> SeriesResult:
     """Symmetrized W[{a}; {b}]: prefactor times W^{M,2} in the balanced data.
 
@@ -573,34 +593,19 @@ def W_normalized(bp, ctx: QContext) -> SeriesResult:
     a = [complex(t) for t in bp.a]
     b = [complex(t) for t in bp.b]
     q = ctx.q
-    aM2, aM3 = a[M + 1], a[M + 2]
-    bM3 = b[M + 2]
-    z = a[M] / bM3
-    if abs(z) >= 1:
-        raise DomainError(f"W_normalized needs |a_(M+1)/b_(M+3)| < 1, got {abs(z)}")
+    aM2, aM3, bM3 = a[M + 1], a[M + 2], b[M + 2]
+    kp = wm2_params(a, b, ctx)
+    if abs(kp.z) >= 1:
+        raise DomainError(f"W_normalized needs |a_(M+1)/b_(M+3)| < 1, got {abs(kp.z)}")
     if aM3 == aM2:
         raise DomainError("W_normalized needs a_(M+2) != a_(M+3)")
-    inner = kajihara_W(
-        KajiharaParams(
-            x=tuple(a[:M]),
-            a=q * bM3 / (aM2 * aM3),
-            u=tuple(1.0 / bj for bj in b[: M + 2]),
-            v=(q * bM3 / aM2, q * bM3 / aM3),
-            z=z,
-        ),
-        ctx,
-    )
-    pref = 1.0 + 0.0j
-    for ai in a[:M]:
-        pref *= qpoch_infinite(q * ai / aM2, ctx) * qpoch_infinite(q * ai / aM3, ctx)
-        pref /= qpoch_infinite(q * q * ai * bM3 / (aM2 * aM3), ctx)
-    for bj in b[: M + 2]:
-        pref *= qpoch_infinite(q * q * bj * bM3 / (aM2 * aM3), ctx)
-    for bj in b:
-        pref /= qpoch_infinite(q * bj / aM2, ctx) * qpoch_infinite(q * bj / aM3, ctx)
-    pref *= qpoch_infinite(z, ctx)
-    pref *= qpoch_infinite(aM2 / aM3, ctx) * qpoch_infinite(aM3 / aM2, ctx)
-    pref /= aM3 - aM2
+    inner = kajihara_W(kp, ctx)
+    num = [q * ai / aM2 for ai in a[:M]] + [q * ai / aM3 for ai in a[:M]]
+    num += [q * q * bj * bM3 / (aM2 * aM3) for bj in b[: M + 2]]
+    num += [kp.z, aM2 / aM3, aM3 / aM2]
+    den = [q * q * ai * bM3 / (aM2 * aM3) for ai in a[:M]]
+    den += [q * bj / aM2 for bj in b] + [q * bj / aM3 for bj in b]
+    pref = qpoch_ratio(num, den, ctx) / (aM3 - aM2)
     return SeriesResult(
         pref * inner.value, inner.shells_used, inner.converged, inner.last_shell_magnitude
     )
@@ -649,11 +654,9 @@ def qal_solution(k: int, p: QALParams, ctx: QContext) -> SeriesResult:
         )
 
     ayc = [A * yi / C for yi in ys]
-    pref = 1.0 + 0.0j
+    num, den = ys, xs  # prod (y_i)_inf / (x_i)_inf, and more for family 1
     if k == 1:
-        for i in range(M):
-            pref *= qpoch_infinite(A * xs[i], ctx) * qpoch_infinite(ys[i], ctx)
-            pref /= qpoch_infinite(A * ys[i], ctx) * qpoch_infinite(xs[i], ctx)
+        num, den = num + [A * xi for xi in xs], den + [A * yi for yi in ys]
         mu = tuple(A * yi / q for yi in ys)
         spec = ShellSpec(
             Factor(e=1, a=(A,) + mu, b=(C,) + tuple(A * xi for xi in xs)),
@@ -665,15 +668,12 @@ def qal_solution(k: int, p: QALParams, ctx: QContext) -> SeriesResult:
         w = C / Bprod
         if abs(w) >= 1:
             raise DomainError(f"family 2 needs |C/B| < 1, got {abs(w)}")
-        for i in range(M):
-            pref *= qpoch_infinite(ys[i], ctx) / qpoch_infinite(xs[i], ctx)
         spec = ShellSpec(Factor(w=w), dirs=dirs([1.0] * M, 0, ayc), y=tuple(ys))
     elif k == 3:
-        for i in range(M):
-            pref *= qpoch_infinite(ys[i], ctx) / qpoch_infinite(xs[i], ctx)
         spec = ShellSpec(Factor(w=-A / Bprod, a=(C / A,), b=(C,)), dirs=dirs(ys, 1), y=tuple(ys))
     else:
         raise DomainError(f"unknown qAL solution family {k}")
+    pref = qpoch_ratio(num, den, ctx)
     res = sum_shells(spec, M, ctx)
     return SeriesResult(pref * res.value, res.shells_used, res.converged, res.last_shell_magnitude)
 
@@ -714,15 +714,13 @@ def degene_solution(k: int, a, b, qlambda, ctx: QContext, aM1_power=None) -> Ser
             for i in range(M)
         )
 
-    pref = aM1_power
-    for i in range(M):
-        pref *= qpoch_infinite(q * a[i] / aM1, ctx)
+    # prod (q a_i/a_{M+1})_inf / prod_j (q b_j/a_{M+1})_inf, and more for
+    # families 1 and 3
+    num = [q * a[i] / aM1 for i in range(M)]
+    den = [q * bj / aM1 for bj in b]
     if k == 1:
-        for i in range(M):
-            pref /= qpoch_infinite(qlp2 * a[i] / aM1, ctx)
-        for j in range(M + 1):
-            pref *= qpoch_infinite(qlp2 * b[j] / aM1, ctx)
-            pref /= qpoch_infinite(q * b[j] / aM1, ctx)
+        num += [qlp2 * bj / aM1 for bj in b]
+        den += [qlp2 * a[i] / aM1 for i in range(M)]
         mu = tuple(qlp1 * ai / aM1 for ai in a[:M])
         spec = ShellSpec(
             Factor(w=q / aM1, e=1, a=(qlp1,) + mu, b=tuple(qlp2 * bj / aM1 for bj in b)),
@@ -734,14 +732,11 @@ def degene_solution(k: int, a, b, qlambda, ctx: QContext, aM1_power=None) -> Ser
         w = 1.0 / qbeta
         if abs(w) >= 1:
             raise DomainError(f"family 2 needs |q^-beta| < 1, got {abs(w)}")
-        for j in range(M + 1):
-            pref /= qpoch_infinite(q * b[j] / aM1, ctx)
         spec = ShellSpec(Factor(w=w), dirs=dirs(M + 1, [1.0] * M), y=tuple(a[:M]))
     elif k == 3:
         bM1 = b[M]
-        pref *= qpoch_infinite(qlp2 * bM1 / aM1, ctx) / qpoch_infinite(qlp1, ctx)
-        for j in range(M + 1):
-            pref /= qpoch_infinite(q * b[j] / aM1, ctx)
+        num.append(qlp2 * bM1 / aM1)
+        den.append(qlp1)
         spec = ShellSpec(
             Factor(w=1.0 / bM1, a=(q * bM1 / aM1,), b=(qlp2 * bM1 / aM1,)),
             dirs=dirs(M, [-ai / qbeta for ai in a[:M]], 1),  # b_{M+1} excluded
@@ -749,5 +744,6 @@ def degene_solution(k: int, a, b, qlambda, ctx: QContext, aM1_power=None) -> Ser
         )
     else:
         raise DomainError(f"unknown degenerate solution family {k}")
+    pref = aM1_power * qpoch_ratio(num, den, ctx)
     res = sum_shells(spec, M, ctx)
     return SeriesResult(pref * res.value, res.shells_used, res.converged, res.last_shell_magnitude)

@@ -156,11 +156,13 @@ def test_eval_unknown_target(tmp_path, capsys):
 
 def test_eval_bad_complex_shape(tmp_path, capsys):
     params = tmp_path / "p.json"
-    params.write_text(json.dumps({"upper": [[0.3, 0.0, 1.0]], "lower": [], "z": 0.4}))
-    rc = main(["eval", "rphis", str(params)])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "upper[0]" in err
+    # JSON true/false load as bool, which Python counts as an int
+    for upper in ([[0.3, 0.0, 1.0]], [True, 0.2], [[0.3, False], 0.2]):
+        params.write_text(json.dumps({"upper": upper, "lower": [0.3], "z": 0.1}))
+        rc = main(["eval", "rphis", str(params)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "upper[0]" in err
 
 
 def test_tol_not_finite_and_positive_exit_two(tmp_path, capsys):

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from qhyper import identities, series
-from qhyper.errors import DomainError, NonFinite, TermEvaluationError
-from qhyper.jackson import principal_power
+from qhyper.errors import DomainError, NonFinite, PoleHit, TermEvaluationError
+from qhyper.jackson import BalancedParams, principal_power
 from qhyper.qcore import QContext, qpoch_finite, qpoch_infinite
 from qhyper.series import (
     Factor,
     KajiharaParams,
     QALParams,
     ShellSpec,
+    W_normalized,
     bilateral_psi,
     degene_solution,
     kajihara_W,
@@ -631,6 +632,24 @@ def test_qal_families_converge():
         assert res.converged, fam
         assert res.value != 0
 
+
+
+# A prefactor factor 1 - c q^j within 1e-12 of zero is a pole, on it or off it
+# by rounding: the prefactor's denominator (1; q)_inf at q = 0.5 raises PoleHit
+# instead of dividing by zero or returning about 1e12 times the sum.
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 5e-13])
+def test_prefactor_pole_raises_polehit(scale):
+    # (q b_1/a_3)_inf with b_1 = 2 a_3 (b_4 keeps the balance)
+    a, b = (0.4, 0.3, 0.5, 0.6), [2 * 0.5 * scale, 0.35, 0.45]
+    b.append(math.prod(a) / (0.25 * math.prod(b)))
+    with pytest.raises(PoleHit):
+        W_normalized(BalancedParams(a=a, b=tuple(b)), CTX)
+    # (x_1)_inf with x_1 = 1
+    with pytest.raises(PoleHit):
+        qal_solution(2, QALParams(A=0.3, B=(0.8, 0.9), C=0.5, x=(scale, 0.4)), CTX)
+    # (q b_1/a_2)_inf with b_1 = 2 a_2
+    with pytest.raises(PoleHit):
+        degene_solution(2, (0.6, 0.7), (2 * 0.7 * scale, 0.3), 0.5, CTX)
 
 
 # ------------------------------------------- ShellSpec engine vs scalar terms
