@@ -3,7 +3,7 @@ suites, and evaluate individual series/integrals from JSON parameter files.
 
 Exit codes: 0 = everything passed, 1 = at least one check failed,
 2 = configuration or evaluation error (bad flags, unknown id, no checks
-selected, bad params).
+selected, bad params, an --out file that cannot be written).
 """
 from __future__ import annotations
 
@@ -13,13 +13,14 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from .errors import QHyperError
 from .identities import catalog, default_context, run_suite
 from .jackson import BalancedParams, JPParams, jp_integral, rp_integral
 from .qcore import QContext
-from .series import KajiharaParams, QALParams, W_normalized, kajihara_W, phi_D, rphis, vwp_W
+from .series import (KajiharaParams, QALParams, SeriesResult, W_normalized, kajihara_W, phi_D,
+                     rphis, vwp_W)
 
 
 def _parse_q(text):
@@ -45,68 +46,33 @@ def _parse_m(text):
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-@dataclass
-class RunConfig:
-    """Everything a verify run needs; round-trips through to_args()."""
-
-    ids: list = field(default_factory=lambda: ["all"])
-    seeds: list = field(default_factory=lambda: [0, 1, 2])
-    M_values: list = field(default_factory=lambda: [1, 2, 3])
-    q: complex = 0.5 + 0.0j
-    tol: float = None
-    shells: int = None
-    out: str = None
-    format: str = "human"
-
-    def to_args(self):
-        args = ["--ids", ",".join(self.ids)]
-        args += ["--seeds", f"{min(self.seeds)}..{max(self.seeds)}"]
-        args += ["--m", ",".join(str(m) for m in self.M_values)]
-        args += ["--q", f"{self.q.real:.17g},{self.q.imag:.17g}"]
-        if self.tol is not None:
-            args += ["--tol", f"{self.tol:.17g}"]
-        if self.shells is not None:
-            args += ["--shells", str(self.shells)]
-        if self.out is not None:
-            args += ["--out", self.out]
-        args += ["--format", self.format]
-        return args
-
-
-def _config_from_args(args):
-    return RunConfig(
-        ids=[tok for tok in args.ids.split(",") if tok.strip()],
-        seeds=_parse_seeds(args.seeds),
-        M_values=_parse_m(args.m),
-        q=_parse_q(args.q),
-        tol=args.tol,
-        shells=args.shells,
-        out=args.out,
-        format=args.format,
-    )
-
-
-def _context_for(cfg):
-    ctx = default_context()
-    ctx = replace(ctx, q=cfg.q)
-    if cfg.shells is not None:
-        ctx = replace(ctx, series_shell_cap=cfg.shells)
+def _context(args):
+    """The QContext of --q, --shells and, for eval, --tol as rel_tol."""
+    q = _parse_q(args.q)
+    if abs(q) >= 1.0:
+        raise ValueError(f"--q needs |q| < 1, got |q| = {abs(q):.6g}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol needs a finite number > 0, got {args.tol}")
+    ctx = replace(default_context(), q=q)
+    if args.shells is not None:
+        ctx = replace(ctx, series_shell_cap=args.shells)
+    if args.command == "eval" and args.tol is not None:
+        ctx = replace(ctx, rel_tol=args.tol)
     return ctx
 
 
-def _add_run_flags(sub):
-    sub.add_argument("--seeds", default="0..2", help="seed range A..B (inclusive) or a single seed")
-    sub.add_argument("--m", default="1,2,3", help="comma-separated list of M values")
-    sub.add_argument("--q", default="0.5", help="base q as RE or RE,IM (|q| < 1)")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="override the pass/fail tolerance of every case")
-    sub.add_argument("--shells", type=int, default=None, help="override the series shell cap")
-    sub.add_argument("--out", default=None, help="write the report here instead of stdout")
-    sub.add_argument("--format", default="human", choices=("json", "csv", "human"))
-
-
-def _rows(reports):
-    return [r.to_dict() for r in reports]
+def _write(text, out):
+    """Write text to the file out, or to stdout if out is empty; False if out cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return True
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _format_json(rows):
@@ -162,47 +128,60 @@ def cmd_list():
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args, ctx: QContext) -> int:
     known = catalog()
-    ids = sorted(known) if cfg.ids == ["all"] else cfg.ids
+    try:
+        seeds, Ms = _parse_seeds(args.seeds), _parse_m(args.m)
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    ids = [tok for tok in args.ids.split(",") if tok.strip()]
+    ids = sorted(known) if ids == ["all"] else ids
     for cid in ids:
         if cid not in known:
             print(f"error: unknown identity id: {cid}", file=sys.stderr)
             return 2
     try:
-        ctx = _context_for(cfg)
-        reports = run_suite(ids, cfg.seeds, cfg.M_values, ctx)
+        reports = run_suite(ids, seeds, Ms, ctx)
     except (QHyperError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not reports:  # an empty selection is a configuration error, not a pass
         print("error: no checks selected", file=sys.stderr)
         return 2
-    if cfg.tol is not None:
+    if args.tol is not None:
         for rep in reports:
-            rep.passed = math.isfinite(rep.rel_error) and rep.rel_error <= cfg.tol
-    rows = _rows(reports)
-    text = _FORMATTERS[cfg.format](rows)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+            rep.passed = math.isfinite(rep.rel_error) and rep.rel_error <= args.tol
+    rows = [r.to_dict() for r in reports]
+    if not _write(_FORMATTERS[args.format](rows), args.out):
+        return 2
+    if args.out:
         print(_summary_line(rows))
-    else:
-        sys.stdout.write(text)
     return 0 if all(r["pass"] for r in rows) else 1
 
 
-# eval target schemas: field -> "complex" | "complex_list" | "int"
-_EVAL_SCHEMAS = {
-    "kajihara_W": {"x": "complex_list", "a": "complex", "u": "complex_list",
-                   "v": "complex_list", "z": "complex"},
-    "phi_D": {"A": "complex", "B": "complex_list", "C": "complex", "x": "complex_list"},
-    "rp_integral": {"a": "complex_list", "b": "complex_list", "i": "int", "j": "int"},
-    "jp_integral": {"alpha_power": "complex", "A": "complex", "B": "complex",
-                    "a": "complex_list", "b": "complex_list", "tau": "complex", "x": "complex"},
-    "rphis": {"upper": "complex_list", "lower": "complex_list", "z": "complex"},
-    "vwp_W": {"a": "complex", "b": "complex_list", "z": "complex"},
-    "W_normalized": {"a": "complex_list", "b": "complex_list"},
+# eval target -> (schema: field -> "complex" | "complex_list" | "int",
+#                 evaluator(params, ctx) -> SeriesResult or complex)
+_EVAL = {
+    "kajihara_W": ({"x": "complex_list", "a": "complex", "u": "complex_list",
+                    "v": "complex_list", "z": "complex"},
+                   lambda p, ctx: kajihara_W(KajiharaParams(**p), ctx)),
+    "phi_D": ({"A": "complex", "B": "complex_list", "C": "complex", "x": "complex_list"},
+              lambda p, ctx: phi_D(QALParams(**p), ctx)),
+    "rp_integral": ({"a": "complex_list", "b": "complex_list", "i": "int", "j": "int"},
+                    lambda p, ctx: rp_integral(BalancedParams(a=p["a"], b=p["b"]),
+                                               p["i"], p["j"], ctx)),
+    "jp_integral": ({"alpha_power": "complex", "A": "complex", "B": "complex",
+                     "a": "complex_list", "b": "complex_list", "tau": "complex", "x": "complex"},
+                    lambda p, ctx: jp_integral(
+                        JPParams(alpha_power=p["alpha_power"], A=p["A"], B=p["B"],
+                                 a=p["a"], b=p["b"], tau=p["tau"]), p["x"], ctx)),
+    "rphis": ({"upper": "complex_list", "lower": "complex_list", "z": "complex"},
+              lambda p, ctx: rphis(list(p["upper"]), list(p["lower"]), p["z"], ctx)),
+    "vwp_W": ({"a": "complex", "b": "complex_list", "z": "complex"},
+              lambda p, ctx: vwp_W(p["a"], list(p["b"]), p["z"], ctx)),
+    "W_normalized": ({"a": "complex_list", "b": "complex_list"},
+                     lambda p, ctx: W_normalized(BalancedParams(**p), ctx)),
 }
 
 
@@ -218,8 +197,7 @@ def _as_complex(raw, name):
     raise SchemaError(f"field '{name}': expected a number or [re, im]")
 
 
-def _coerce_params(target, raw):
-    schema = _EVAL_SCHEMAS[target]
+def _coerce_params(schema, raw):
     if not isinstance(raw, dict):
         raise SchemaError("params file must hold a JSON object")
     for name in schema:
@@ -244,55 +222,35 @@ def _coerce_params(target, raw):
     return out
 
 
-def _run_eval(target, p, ctx):
-    """Returns (value, shells_used, converged); shells is None for integrals."""
-    if target == "kajihara_W":
-        res = kajihara_W(KajiharaParams(x=p["x"], a=p["a"], u=p["u"], v=p["v"], z=p["z"]), ctx)
-    elif target == "phi_D":
-        res = phi_D(QALParams(A=p["A"], B=p["B"], C=p["C"], x=p["x"]), ctx)
-    elif target == "rphis":
-        res = rphis(list(p["upper"]), list(p["lower"]), p["z"], ctx)
-    elif target == "vwp_W":
-        res = vwp_W(p["a"], list(p["b"]), p["z"], ctx)
-    elif target == "W_normalized":
-        res = W_normalized(BalancedParams(a=p["a"], b=p["b"]), ctx)
-    elif target == "rp_integral":
-        val = rp_integral(BalancedParams(a=p["a"], b=p["b"]), p["i"], p["j"], ctx)
-        return val, None, True
-    elif target == "jp_integral":
-        jp = JPParams(alpha_power=p["alpha_power"], A=p["A"], B=p["B"],
-                      a=p["a"], b=p["b"], tau=p["tau"])
-        return jp_integral(jp, p["x"], ctx), None, True
-    else:
-        raise SchemaError(f"unknown eval target: {target}")
-    return res.value, res.shells_used, res.converged
-
-
-def cmd_eval(target, params_path, cfg: RunConfig) -> int:
-    if target not in _EVAL_SCHEMAS:
-        known = ", ".join(sorted(_EVAL_SCHEMAS))
-        print(f"error: unknown eval target: {target} (expected one of {known})", file=sys.stderr)
+def cmd_eval(args, ctx: QContext) -> int:
+    if args.target not in _EVAL:
+        known = ", ".join(sorted(_EVAL))
+        print(f"error: unknown eval target: {args.target} (expected one of {known})",
+              file=sys.stderr)
         return 2
+    schema, evaluate = _EVAL[args.target]
     try:
-        with open(params_path) as fh:
+        with open(args.params) as fh:
             raw = json.load(fh)
-        params = _coerce_params(target, raw)
+        params = _coerce_params(schema, raw)
     except (OSError, json.JSONDecodeError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        ctx = _context_for(cfg)
-        if cfg.tol is not None:
-            ctx = replace(ctx, rel_tol=cfg.tol)
-        value, shells, converged = _run_eval(target, params, ctx)
+        res = evaluate(params, ctx)
     except (QHyperError, ValueError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    payload = {"value": [value.real, value.imag]}
-    if shells is not None:
-        payload["shells_used"] = shells
-    payload["converged"] = bool(converged)
-    if cfg.format == "json":
+    # integrals return a bare value, and raise where they do not converge
+    if isinstance(res, SeriesResult):
+        value, shells, converged = res.value, res.shells_used, res.converged
+    else:
+        value, shells, converged = res, None, True
+    if args.format == "json":
+        payload = {"value": [value.real, value.imag]}
+        if shells is not None:
+            payload["shells_used"] = shells
+        payload["converged"] = bool(converged)
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [f"value = {value.real:.15g} {value.imag:+.15g}j"]
@@ -300,12 +258,15 @@ def cmd_eval(target, params_path, cfg: RunConfig) -> int:
             lines.append(f"shells_used = {shells}")
         lines.append(f"converged = {'true' if converged else 'false'}")
         text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return 0 if _write(text, args.out) else 2
+
+
+def _add_context_flags(sub, tol_help, formats, out_help):
+    sub.add_argument("--q", default="0.5", help="base q as RE or RE,IM (|q| < 1)")
+    sub.add_argument("--tol", type=float, default=None, help=tol_help)
+    sub.add_argument("--shells", type=int, default=None, help="override the series shell cap")
+    sub.add_argument("--out", default=None, help=out_help)
+    sub.add_argument("--format", default="human", choices=formats)
 
 
 def main(argv=None) -> int:
@@ -319,12 +280,20 @@ def main(argv=None) -> int:
 
     ver = subparsers.add_parser("verify", help="run identity checks and report pass/fail")
     ver.add_argument("--ids", default="all", help='comma-separated identity ids, or "all"')
-    _add_run_flags(ver)
+    ver.add_argument("--seeds", default="0..2", help="seed range A..B (inclusive) or a single seed")
+    ver.add_argument("--m", default="1,2,3", help="comma-separated list of M values")
+    _add_context_flags(
+        ver, "pass/fail threshold on every check's rel_error, in place of each case's tolerance",
+        ("json", "csv", "human"),
+        "write the report here instead of stdout; stdout then gets the summary line")
 
     ev = subparsers.add_parser("eval", help="evaluate one function from a JSON params file")
-    ev.add_argument("target", help=", ".join(sorted(_EVAL_SCHEMAS)))
+    ev.add_argument("target", help=", ".join(sorted(_EVAL)))
     ev.add_argument("params", help="path to a JSON object; complex numbers as [re, im]")
-    _add_run_flags(ev)
+    _add_context_flags(
+        ev, "truncation threshold rel_tol: how small a shell or lattice term must be "
+        "to count as negligible (default 1e-13)",
+        ("json", "human"), "write the result here instead of stdout")
 
     args = parser.parse_args(argv)
     if args.command is None:
@@ -334,25 +303,11 @@ def main(argv=None) -> int:
         sys.stdout.write(cmd_list())
         return 0
     try:
-        cfg = _config_from_args(args if args.command == "verify" else _with_ids(args))
-    except (ValueError, OverflowError) as exc:
+        ctx = _context(args)
+    except (QHyperError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if abs(cfg.q) >= 1.0:
-        print(f"error: --q needs |q| < 1, got |q| = {abs(cfg.q):.6g}", file=sys.stderr)
-        return 2
-    if cfg.tol is not None and not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
-        print(f"error: --tol needs a finite number > 0, got {cfg.tol}", file=sys.stderr)
-        return 2
-    if args.command == "verify":
-        return cmd_verify(cfg)
-    return cmd_eval(args.target, args.params, cfg)
-
-
-def _with_ids(args):
-    # eval shares the run flags but has no --ids
-    args.ids = "all"
-    return args
+    return cmd_verify(args, ctx) if args.command == "verify" else cmd_eval(args, ctx)
 
 
 if __name__ == "__main__":

@@ -47,9 +47,11 @@ class BalancedParams:
     """Balanced parameter lists a, b of length M+3 each.
 
     The balance constraint and the genericity condition (no a_i/a_j on the
-    q-lattice) are checked by .check(ctx), which samplers call; evaluation
-    routines trust their input so that deliberately broken parameters (for
-    negative controls) can still be evaluated.
+    q-lattice) are checked by .check(ctx), which nothing in the library
+    calls: the catalog samplers solve b_{M+3} from the balance and apply
+    their own admissibility guards, and evaluation routines trust their input
+    so that deliberately broken parameters (for negative controls) can still
+    be evaluated.
     """
 
     a: tuple

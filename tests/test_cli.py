@@ -3,7 +3,9 @@
 import json
 import math
 
-from qhyper.cli import RunConfig, _parse_m, _parse_q, _parse_seeds, main
+import pytest
+
+from qhyper.cli import main
 from qhyper.qcore import QContext, qpoch_infinite
 
 CTX = QContext(q=0.5 + 0.0j)
@@ -184,22 +186,29 @@ def test_tol_not_finite_and_positive_exit_two(tmp_path, capsys):
     assert "converged = true" in out
 
 
-def test_runconfig_roundtrip():
-    cfg = RunConfig(ids=["heine.m1", "qal.phiD"], seeds=[2, 3, 4], M_values=[1, 3],
-                    q=complex(0.55, -0.2), tol=1e-9, shells=500, out="r.json", format="csv")
-    args = cfg.to_args()
-    flags = dict(zip(args[::2], args[1::2]))
-    back = RunConfig(
-        ids=flags["--ids"].split(","),
-        seeds=_parse_seeds(flags["--seeds"]),
-        M_values=_parse_m(flags["--m"]),
-        q=_parse_q(flags["--q"]),
-        tol=float(flags["--tol"]),
-        shells=int(flags["--shells"]),
-        out=flags["--out"],
-        format=flags["--format"],
-    )
-    assert back == cfg
+def test_eval_rejects_verify_flags(tmp_path, capsys):
+    # eval took --seeds, --m and --format csv and ignored them
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"upper": [0.3], "lower": [], "z": 0.4}))
+    for extra in (["--seeds", "0"], ["--m", "1"], ["--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "rphis", str(params)] + extra)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_unwritable_out_exit_two(tmp_path, capsys):
+    # an --out that cannot be opened raised FileNotFoundError (exit 1)
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"upper": [0.3], "lower": [], "z": 0.4}))
+    out = str(tmp_path / "missing" / "r.txt")
+    for argv in (["verify", "--ids", "heine.m1", "--seeds", "0..0"],
+                 ["eval", "rphis", str(params)]):
+        rc = main(argv + ["--out", out])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 def test_no_command_prints_help(capsys):
