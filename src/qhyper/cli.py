@@ -1,9 +1,11 @@
 """Command-line front door: list the identity catalog, run verification
 suites, and evaluate individual series/integrals from JSON parameter files.
 
-Exit codes: 0 = everything passed, 1 = at least one check failed,
-2 = configuration or evaluation error (bad flags, unknown id, no checks
-selected, bad params, an --out file that cannot be written).
+Exit codes: 0 = everything passed, 1 = at least one check failed (verify)
+or the series did not converge within its shell cap (eval, which still prints
+the capped value), 2 = configuration or evaluation error (bad flags, unknown
+id, no checks selected, bad params, --shells for an integral target, an --out
+file that cannot be written; verify opens it, emptied, before any check runs).
 """
 from __future__ import annotations
 
@@ -141,6 +143,8 @@ def cmd_verify(args, ctx: QContext) -> int:
         if cid not in known:
             print(f"error: unknown identity id: {cid}", file=sys.stderr)
             return 2
+    if args.out and not _write("", args.out):  # fail before the checks run
+        return 2
     try:
         reports = run_suite(ids, seeds, Ms, ctx)
     except (QHyperError, ValueError) as exc:
@@ -183,6 +187,11 @@ _EVAL = {
     "W_normalized": ({"a": "complex_list", "b": "complex_list"},
                      lambda p, ctx: W_normalized(BalancedParams(**p), ctx)),
 }
+
+
+# targets that are Jackson lattice sums: they stop at 4 * infinite_product_cutoff
+# points, and the series shell cap (--shells) does not reach them
+_INTEGRALS = ("rp_integral", "jp_integral")
 
 
 class SchemaError(ValueError):
@@ -228,6 +237,10 @@ def cmd_eval(args, ctx: QContext) -> int:
         print(f"error: unknown eval target: {args.target} (expected one of {known})",
               file=sys.stderr)
         return 2
+    if args.shells is not None and args.target in _INTEGRALS:
+        print(f"error: --shells applies to series targets only, not {args.target}",
+              file=sys.stderr)
+        return 2
     schema, evaluate = _EVAL[args.target]
     try:
         with open(args.params) as fh:
@@ -258,13 +271,15 @@ def cmd_eval(args, ctx: QContext) -> int:
             lines.append(f"shells_used = {shells}")
         lines.append(f"converged = {'true' if converged else 'false'}")
         text = "\n".join(lines) + "\n"
-    return 0 if _write(text, args.out) else 2
+    if not _write(text, args.out):
+        return 2
+    return 0 if converged else 1
 
 
-def _add_context_flags(sub, tol_help, formats, out_help):
+def _add_context_flags(sub, tol_help, shells_help, formats, out_help):
     sub.add_argument("--q", default="0.5", help="base q as RE or RE,IM (|q| < 1)")
     sub.add_argument("--tol", type=float, default=None, help=tol_help)
-    sub.add_argument("--shells", type=int, default=None, help="override the series shell cap")
+    sub.add_argument("--shells", type=int, default=None, help=shells_help)
     sub.add_argument("--out", default=None, help=out_help)
     sub.add_argument("--format", default="human", choices=formats)
 
@@ -284,7 +299,7 @@ def main(argv=None) -> int:
     ver.add_argument("--m", default="1,2,3", help="comma-separated list of M values")
     _add_context_flags(
         ver, "pass/fail threshold on every check's rel_error, in place of each case's tolerance",
-        ("json", "csv", "human"),
+        "override the series shell cap (default 400)", ("json", "csv", "human"),
         "write the report here instead of stdout; stdout then gets the summary line")
 
     ev = subparsers.add_parser("eval", help="evaluate one function from a JSON params file")
@@ -293,7 +308,9 @@ def main(argv=None) -> int:
     _add_context_flags(
         ev, "truncation threshold rel_tol: how small a shell or lattice term must be "
         "to count as negligible (default 1e-13)",
-        ("json", "human"), "write the result here instead of stdout")
+        "override the series shell cap (default 400); series targets only: "
+        f"{', '.join(_INTEGRALS)} refuse it", ("json", "human"),
+        "write the result here instead of stdout")
 
     args = parser.parse_args(argv)
     if args.command is None:

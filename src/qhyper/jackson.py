@@ -22,11 +22,22 @@ from one point to the next,
 
   psi(t q) = psi(t) prod_k (1 - den_k t) / prod_k (1 - num_k t),
 
-and evaluated directly at the first point, at least every _ANCHOR_EVERY
-points, after a zero value, and wherever a step factor comes within 1/2 of
-zero or the kernel may need more than its factor cap; so every exact zero,
-pole, NoConvergence and NaN is still decided by the direct evaluation.  Any
-other callable is evaluated at every point.
+and evaluated directly at the first point, after a zero value, wherever a
+step factor comes within 1/2 of zero or the kernel may need more than its
+factor cap, and wherever a stepped value would overdraw the rounding budget
+_STEP_BUDGET; so every exact zero, pole, NoConvergence and NaN is still
+decided by the direct evaluation.  Any other callable is evaluated at every
+point.
+
+The budget: a term stepped m times since the last direct evaluation carries
+about m (K + 1) eps of rounding for the K products of its integrand.  Each
+half of a lattice sum keeps D = sum m |term| and S = sum |term| over its terms
+so far, and steps to the next point only while D + m |term| <=
+_STEP_BUDGET (S + |term|) with that point's stepped term counted in; so D <=
+_STEP_BUDGET S throughout, and the stepping error of the sum stays below
+about _STEP_BUDGET (K + 1) eps sum |terms|.  Once the terms decay, late points
+cost the budget little: a sum whose terms decay fast is stepped from its first
+point to its last.
 """
 from __future__ import annotations
 
@@ -143,10 +154,11 @@ class _Ratio:
 
 # A stepped value carries the rounding of every step since its last direct
 # evaluation, about (2M + 7) eps a step for the 2M + 6 factors of W^{M,2}'s
-# integrand.  Re-anchoring at least every 8 points keeps that below
-# 8 (2M + 7) eps <= 1.2e-14 for M <= 3, the size of the 1e-14 truncation of
-# each direct (a; q)_inf.
-_ANCHOR_EVERY = 8
+# integrand.  A budget of D <= 7 S (module docstring) bounds the stepping error
+# of a sum by about 7 (2M + 7) eps sum |terms| <= 1.1e-14 sum |terms| for
+# M <= 3, the size of the 1e-14 truncation of each direct (a; q)_inf, and the
+# worst case of re-anchoring at every 8th point (m <= 7).
+_STEP_BUDGET = 7
 
 
 def _step_ratio(num, den, s):
@@ -178,9 +190,11 @@ def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False
     stalls against the whole sum.  A non-finite term raises NonFinite, and
     4 * infinite_product_cutoff points without a stall raise NoConvergence.
 
-    A _Ratio of base step is stepped from each point to the next (see the
-    module docstring for the points evaluated directly); anything else is
-    called at every point.
+    A _Ratio of base step is stepped from each point to the next while the
+    rounding budget allows: with m the steps since the last direct evaluation
+    and S = sum |term| so far, the sum keeps D = sum m |term| <=
+    _STEP_BUDGET S (see the module docstring for the points evaluated
+    directly); anything else is called at every point.
     """
     cap = 4 * ctx.infinite_product_cutoff
     stall = 0
@@ -188,22 +202,26 @@ def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False
     if stepped:
         up, down = (f.num, f.den) if divide else (f.den, f.num)
     val = None  # f(t), when the previous point stepped to it
-    since = 0  # points since the last direct evaluation
+    m = 0  # steps since the last direct evaluation
+    mass = drift = 0.0  # S = sum |term| and D = sum m |term|
     for _ in range(cap):
         if val is None:
             val = complex(f(t))
-            since = 0
+            m = 0
         term = val * w
         if not (math.isfinite(term.real) and math.isfinite(term.imag)):
             raise NonFinite(f"non-finite value in {where}")
         total += term
-        if abs(term) <= ctx.rel_tol * max(1.0, abs(total)):
+        size = abs(term)
+        mass += size
+        drift += m * size
+        if size <= ctx.rel_tol * max(1.0, abs(total)):
             stall += 1
             if stall >= ctx.stall_window:
                 return total
         else:
             stall = 0
-        since += 1
+        m += 1
         if divide:
             t /= step
             w /= wstep
@@ -211,12 +229,17 @@ def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False
         # point; psi(t / q) = psi(t) prod (1 - num_k t / q) / prod (1 - den_k t / q)
         # at the new one
         r = None
-        if stepped and val != 0 and since < _ANCHOR_EVERY and abs(t) < f.reach:
+        if stepped and val != 0 and abs(t) < f.reach:
             r = _step_ratio(up, down, t)
-        val = None if r is None else val * r
         if not divide:
             t *= step
             w *= wstep
+        if r is None:
+            val = None
+        else:
+            # step only within the rounding budget (a NaN goes to the kernel)
+            size = abs(val * r * w)
+            val = val * r if drift + m * size <= _STEP_BUDGET * (mass + size) else None
     raise NoConvergence(f"{where} did not stall within {cap} lattice points")
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, NonFinite
 from .qcore import QContext, elem_sym
-from .jackson import rp_integral, BalancedParams
+from .jackson import BalancedParams, jackson_0_to, rp_integrand
 
 
 @dataclass
@@ -490,18 +490,25 @@ def build_qal_system(M: int, p) -> list:
 
 def independence_check(bp: BalancedParams, ctx: QContext) -> bool:
     """Wronskian-style test that phi_{i,M+3}, i = 2..M+2, are independent over
-    the field of T-constants, probing with T = T_{a_1} T_{b_1}."""
+    the field of T-constants, probing with T = T_{a_1} T_{b_1}.
+
+    Row n holds phi_{i,M+3} = J(q/a_{M+3}) - J(q/a_i) at the n-times shifted
+    parameters, J = jackson_0_to of that row's integrand, as rp_integral
+    takes it; the shared J(q/a_{M+3}) is summed once per row."""
     M = bp.M
     size = M + 1
+    if any(v == 0 for v in bp.a[1:]):
+        raise DomainError("independence_check needs a_2, ..., a_{M+3} != 0 (endpoints q/a_i)")
     mat = np.zeros((size, size), dtype=complex)
     for n in range(size):
         a = list(bp.a)
         b = list(bp.b)
         a[0] *= ctx.q ** n
         b[0] *= ctx.q ** n
-        shifted = BalancedParams(a=tuple(a), b=tuple(b))
+        psi = rp_integrand(BalancedParams(a=tuple(a), b=tuple(b)), ctx)
+        top = jackson_0_to(ctx.q / a[M + 2], psi, ctx)
         for col, i in enumerate(range(2, M + 3)):
-            mat[n, col] = rp_integral(shifted, i, M + 3, ctx)
+            mat[n, col] = top - jackson_0_to(ctx.q / a[i - 1], psi, ctx)
     det = np.linalg.det(mat)
     scale = 1.0
     for n in range(size):

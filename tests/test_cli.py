@@ -211,6 +211,47 @@ def test_unwritable_out_exit_two(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_eval_unconverged_series_exit_one(tmp_path, capsys):
+    # capped at one shell, 1phi0(0.3; -; 0.4) stops at 1.56 (the sum is
+    # 1.99516...): the value is printed as before, but the exit code says so
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"upper": [0.3], "lower": [], "z": 0.4}))
+    rc = main(["eval", "rphis", str(params), "--shells", "1"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.splitlines() == ["value = 1.56 +0j", "shells_used = 2", "converged = false"]
+
+
+def test_eval_integral_rejects_shells(tmp_path, capsys):
+    # lattice sums ignored --shells and printed the same value with it
+    rp = tmp_path / "rp.json"
+    rp.write_text(json.dumps({"a": [0.45, 0.3, 0.55, 0.25], "b": [0.2, 0.33, 0.75, 1.5],
+                              "i": 1, "j": 2}))
+    jp = tmp_path / "jp.json"
+    jp.write_text(json.dumps({"alpha_power": 0.5, "A": 0.3, "B": 0.6, "a": [0.4],
+                              "b": [0.45], "tau": 1.0, "x": 0.7}))
+    for target, params in (("rp_integral", rp), ("jp_integral", jp)):
+        assert main(["eval", target, str(params)]) == 0
+        assert "converged = true" in capsys.readouterr().out
+        rc = main(["eval", target, str(params), "--shells", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: --shells applies to series targets only")
+        assert captured.out == ""
+
+
+def test_verify_unwritable_out_fails_before_checks(tmp_path, capsys, monkeypatch):
+    # the whole selection ran before an unwritable --out was reported
+    def run_suite(*args):
+        raise AssertionError("run_suite reached")
+
+    monkeypatch.setattr("qhyper.cli.run_suite", run_suite)
+    rc = main(["verify", "--ids", "all", "--out", str(tmp_path / "missing" / "r.json")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_no_command_prints_help(capsys):
     rc = main([])
     assert rc == 2

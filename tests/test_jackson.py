@@ -616,8 +616,10 @@ def test_bilateral_negative_half_stalls_against_carried_total():
 # ------------------------------------------------ the stepped integrand
 #
 # A _Ratio integrand is stepped from one lattice point to the next and
-# evaluated directly (by the kernel) at the first point, at least every 8th
-# point, after a zero, and where a step factor 1 - c t comes within 1/2 of 0.
+# evaluated directly (by the kernel) at the first point, after a zero, where a
+# step factor 1 - c t comes within 1/2 of 0, and where a stepped term would
+# overdraw the rounding budget sum m |term| <= 7 sum |term| (m the steps since
+# the last direct point).
 
 
 class _Spy(_Ratio):
@@ -643,7 +645,26 @@ def _lattice(tau, ctx, n):
     return out
 
 
-def test_direct_evaluation_every_eighth_point():
+def _check_budget(seen, tau, ctx, terms):
+    """The direct points seen of a one-sided sum from tau keep the rounding
+    budget: the first point is direct, sum m_k |term_k| <= 7 sum |term_k| over
+    every prefix, with m_k the steps from the last direct point to point k, and
+    fewer points are direct than the ceil(n / 8) of re-anchoring at every 8th
+    point.  terms are the reference's, which differ from the stepped ones by
+    rounding: hence the 1e-12 relative slack."""
+    points = _lattice(tau, ctx, len(terms))
+    direct = {points.index(t) for t in seen}
+    assert len(direct) == len(seen) and seen[0] == points[0]
+    assert len(seen) < -(-len(terms) // 8)
+    m, drift, mass = 0, 0.0, 0.0
+    for k, term in enumerate(terms):
+        m = 0 if k in direct else m + 1
+        drift += m * abs(term)
+        mass += abs(term)
+        assert drift <= 7 * mass * (1 + 1e-12), k
+
+
+def test_direct_evaluation_within_rounding_budget():
     ctx = QContext(q=0.5)
     rng = random.Random(11)
     bp = sample_balanced(rng, 2, ctx)
@@ -654,7 +675,10 @@ def test_direct_evaluation_every_eighth_point():
     val = jackson_0_to(tau, spy, ctx)
     assert abs(val - ref) <= 2e-14 * sum(map(abs, terms))
     assert len(terms) > 40
-    assert spy.seen == _lattice(tau, ctx, len(terms))[::8]
+    _check_budget(spy.seen, tau, ctx, terms)
+    # the terms decay about as 2^-n, so sum m |term| stays near 2 sum |term|
+    # and the first point carries the whole sum
+    assert len(spy.seen) == 1
     # an integrand built for another q is evaluated at every point
     other = _Spy(spy.num, spy.den, QContext(q=0.7))
     jackson_0_to(tau, other, ctx)
@@ -723,21 +747,28 @@ def test_sum_starting_on_a_zero(q):
     assert spy.seen[:3] == _lattice(tau, ctx, 3)
 
 
-@pytest.mark.parametrize("q", (0.9, 0.9 * cmath.exp(0.3j), -0.9))
-def test_long_lattice_stays_within_bound(q):
-    # several hundred points, each run of seven stepped points re-anchored
+def _long_lattices(q):
+    """(ctx, spy, tau) for two integrands of 6 + 6 products at |q| = 0.9, each
+    summed over several hundred lattice points from tau."""
     ctx = QContext(q=q, infinite_product_cutoff=600)
     rng = random.Random(13)
     for _ in range(2):
         spy = _Spy(tuple(_rand_unit(rng, 0.05, 0.4) for _ in range(6)),
                    tuple(_rand_unit(rng, 0.05, 0.4) for _ in range(6)), ctx)
-        tau = _rand_unit(rng, 0.5, 1.0)
+        yield ctx, spy, _rand_unit(rng, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("q", (0.9, 0.9 * cmath.exp(0.3j), -0.9))
+def test_long_lattice_stays_within_bound(q):
+    # 249 to 287 points each: the budget re-anchors at 1 to 9 of them, where
+    # re-anchoring at every 8th point took 32 to 36
+    for ctx, spy, tau in _long_lattices(q):
         terms = []
         ref = _old_jackson_0_to(tau, spy, ctx, terms=terms)
         assert len(terms) > 200
         spy.seen.clear()
         assert abs(jackson_0_to(tau, spy, ctx) - ref) <= 2e-14 * sum(map(abs, terms))
-        assert spy.seen == _lattice(tau, ctx, len(terms))[::8]
+        _check_budget(spy.seen, tau, ctx, terms)
 
 
 def test_steps_stop_where_the_kernel_would_raise():
@@ -915,3 +946,20 @@ def test_lattice_sums_match_mpmath_shadow(q):
             assert float(abs(got - exact)) <= tol * mass, (label, got, complex(exact))
             compared.add(label)
     assert compared == {"jackson_0_to", "jackson_bilateral", "jp_integral", "degene_integral"}
+
+
+def test_long_lattices_match_mpmath_shadow():
+    import mpmath
+
+    with mpmath.workdps(30):
+        for ctx, spy, tau in _long_lattices(0.9):
+            got = jackson_0_to(tau, spy, ctx)
+            terms = []
+            t = mpmath.mpc(tau)
+            kept, exact = _mp_one_sided(mpmath.mp, t, t, mpmath.mpc(ctx.q), spy.num, spy.den,
+                                        ctx, terms)
+            assert len(terms) > 200
+            mass = float(sum(abs(x) for x in terms))
+            assert float(abs(got - kept)) <= 2e-14 * mass, (got, complex(kept))
+            tol = 2e-14 + 12 * 1e-14 / (1 - abs(ctx.q))
+            assert float(abs(got - exact)) <= tol * mass, (got, complex(exact))

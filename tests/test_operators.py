@@ -571,6 +571,29 @@ def test_independence_closed_form():
         assert independence_check(bp, CTX)
 
 
+def test_independence_entries_are_rp_integrals(monkeypatch):
+    # each row sums its shared endpoint q/a_{M+3} once; every entry is still
+    # rp_integral(shifted, i, M + 3) bit for bit
+    mats = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda m: mats.append(m.copy()) or det(m))
+    rng = random.Random(83)
+    for q in (0.5, 0.7, -0.5, 0.6 * cmath.exp(0.5j)):
+        ctx = QContext(q=q)
+        for M in (1, 2):
+            a = tuple(rand_unit(rng) for _ in range(M + 3))
+            b = tuple(rand_unit(rng) for _ in range(M + 2))
+            bp = BalancedParams(a=a, b=b + (math.prod(a) / (ctx.q ** 2 * math.prod(b)),))
+            independence_check(bp, ctx)
+            mat = mats.pop()
+            for n in range(M + 1):
+                shift = ctx.q ** n
+                shifted = BalancedParams(a=(bp.a[0] * shift,) + bp.a[1:],
+                                         b=(bp.b[0] * shift,) + bp.b[1:])
+                for col, i in enumerate(range(2, M + 3)):
+                    assert _bits(mat[n, col]) == _bits(rp_integral(shifted, i, M + 3, ctx))
+
+
 # ------------------------------------------------ builders vs the old builders
 #
 # Each builder used to carry its own copies of the factor chains, powers and
