@@ -39,7 +39,7 @@ except ImportError:  # renamed _sha2 in Python 3.12
     from hashlib import sha256
 
 from .errors import NonFinite, QHyperError, SamplerExhausted
-from .qcore import QContext, qpoch_finite, qpoch_infinite, qpoch_ratio
+from .qcore import QContext, principal_power, q_exponent, qpoch_finite, qpoch_infinite, qpoch_ratio
 from .jackson import (
     BalancedParams,
     JPParams,
@@ -47,7 +47,6 @@ from .jackson import (
     jackson_between,
     jackson_bilateral,
     jp_integral,
-    principal_power,
     rp_integral,
     rp_integrand,
 )
@@ -1174,8 +1173,7 @@ def _degsol_function(p, ctx):
     M = len(a0) - 1
     qlam = principal_power(q, lam)
     qlp1 = qlam * q
-    lam1 = cmath.log(qlp1) / cmath.log(q)
-    base_pow = cmath.exp(-lam1 * cmath.log(a0[M]))
+    base_pow = principal_power(a0[M], -q_exponent(qlp1, ctx))
 
     def ev(a, b, off, fam):
         n = off.get(f"a{M + 1}", 0)
@@ -1831,5 +1829,4 @@ def run_suite(ids, seeds, Ms, ctx=None):
                 continue
             for seed in sorted(set(seeds)):
                 reports.append(check(case_id, seed, M, ctx))
-    reports.sort(key=lambda r: (r.id, r.M, r.seed))
     return reports

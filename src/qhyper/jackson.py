@@ -41,16 +41,16 @@ point to its last.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, NonFinite
+from .qcore import QContext, principal_power, q_exponent
 # private names: the products are part of this layer's per-point work, and
 # per-layer tracing wraps only the public names one module imports from another
-from .qcore import _TAIL, QContext, _ratio
+from .qcore import _TAIL, _ratio
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,6 @@ class JPParams:
     tau: complex
 
 
-def principal_power(base, exponent):
-    """base**exponent on the principal branch (base != 0)."""
-    return cmath.exp(exponent * cmath.log(base))
-
-
-def q_exponent(value, ctx: QContext):
-    """The principal solution s of q^s = value."""
-    return cmath.log(value) / cmath.log(ctx.q)
-
-
 class _Ratio:
     """The integrand t -> prod_k (num_k t; q)_inf / prod_k (den_k t; q)_inf.
 
@@ -180,17 +170,17 @@ def _step_ratio(num, den, s):
     return up / down
 
 
-def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False):
-    """total + sum_{n >= 0} f(t_n) w_n with t_n = t step^n, w_n = w wstep^n.
+def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
+    """total + sum_{n >= 0} f(t_n) w_n with t_n = t q^n, w_n = w wstep^n.
 
-    With divide set, each step divides by step and wstep instead (the n < 0
+    With divide set, each step divides by q and wstep instead (the n < 0
     half of a bilateral lattice).  The sum stops once stall_window consecutive
     terms are each at most rel_tol * max(1, |running total|); the running
     total starts at the total passed in, so the second half of a bilateral sum
     stalls against the whole sum.  A non-finite term raises NonFinite, and
     4 * infinite_product_cutoff points without a stall raise NoConvergence.
 
-    A _Ratio of base step is stepped from each point to the next while the
+    A _Ratio of base q is stepped from each point to the next while the
     rounding budget allows: with m the steps since the last direct evaluation
     and S = sum |term| so far, the sum keeps D = sum m |term| <=
     _STEP_BUDGET S (see the module docstring for the points evaluated
@@ -198,7 +188,8 @@ def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False
     """
     cap = 4 * ctx.infinite_product_cutoff
     stall = 0
-    stepped = isinstance(f, _Ratio) and f.ctx.q == step
+    q = ctx.q
+    stepped = isinstance(f, _Ratio) and f.ctx.q == q
     if stepped:
         up, down = (f.num, f.den) if divide else (f.den, f.num)
     val = None  # f(t), when the previous point stepped to it
@@ -223,7 +214,7 @@ def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False
             stall = 0
         m += 1
         if divide:
-            t /= step
+            t /= q
             w /= wstep
         # psi(t q) = psi(t) prod (1 - den_k t) / prod (1 - num_k t) from the old
         # point; psi(t / q) = psi(t) prod (1 - num_k t / q) / prod (1 - den_k t / q)
@@ -232,7 +223,7 @@ def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False
         if stepped and val != 0 and abs(t) < f.reach:
             r = _step_ratio(up, down, t)
         if not divide:
-            t *= step
+            t *= q
             w *= wstep
         if r is None:
             val = None
@@ -246,8 +237,8 @@ def _lattice_sum(t, step, w, wstep, f, ctx: QContext, total, where, divide=False
 def _bilateral_sum(tau, w, wstep, f, ctx: QContext, where):
     """(1-q) sum_{n in Z} f(tau q^n) w wstep^n, the n >= 0 half first."""
     q = ctx.q
-    total = _lattice_sum(tau, q, w, wstep, f, ctx, 0.0 + 0.0j, f"{where} (n >= 0)")
-    total = _lattice_sum(tau / q, q, w / wstep, wstep, f, ctx, total, f"{where} (n < 0)",
+    total = _lattice_sum(tau, w, wstep, f, ctx, 0.0 + 0.0j, f"{where} (n >= 0)")
+    total = _lattice_sum(tau / q, w / wstep, wstep, f, ctx, total, f"{where} (n < 0)",
                          divide=True)
     return (1.0 - q) * total
 
@@ -257,7 +248,7 @@ def jackson_0_to(tau, f, ctx: QContext) -> complex:
     if tau == 0:
         return 0.0 + 0.0j
     t = complex(tau)
-    return (1.0 - ctx.q) * _lattice_sum(t, ctx.q, t, ctx.q, f, ctx, 0.0 + 0.0j, "jackson_0_to")
+    return (1.0 - ctx.q) * _lattice_sum(t, t, ctx.q, f, ctx, 0.0 + 0.0j, "jackson_0_to")
 
 
 def jackson_bilateral(tau, f, ctx: QContext) -> complex:
@@ -345,5 +336,5 @@ def degene_integral(j: int, a, b, qlambda, ctx: QContext, tau_power=None) -> com
 
     F = _Ratio(a, b, ctx)
     w = tau * tau_power  # tau^(lambda+1), then times q^(n(lambda+1))
-    return (1.0 - ctx.q) * _lattice_sum(tau, ctx.q, w, qlp1, F, ctx, 0.0 + 0.0j,
+    return (1.0 - ctx.q) * _lattice_sum(tau, w, qlp1, F, ctx, 0.0 + 0.0j,
                                         "degene_integral")

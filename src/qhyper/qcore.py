@@ -2,19 +2,18 @@
 
 All evaluation happens in complex double precision with a base |q| < 1.  The
 QContext bundles q together with the truncation knobs every summation in the
-package shares, so numerical policy lives in one place.  There are two
-(a; q)_inf kernels with one set of rules (which factors are kept, the factor
-cap, the snap of a vanishing factor).  A product or ratio of two or more
-products (every Jackson integrand and every prefactor) is one ``qpoch_ratio``
-call, from one numpy grid of factors divided column by column so that no
-single product is ever formed; a factor within 1e-12 of zero reads as an
-exact zero in a numerator and as a pole (PoleHit) in a denominator.
-``qpoch_infinite`` multiplies out a product that stands alone (theta,
-(q; q)_inf) in a loop, with the reading of a vanishing factor (plain, an
-exact zero, a pole) an explicit argument.
+package shares, so numerical policy lives in one place.  Every (a; q)_inf
+factor is formed by one kernel, ``qpoch_ratio``: a product or ratio of
+products (every Jackson integrand and every prefactor) is one call, from one
+numpy grid of factors divided column by column so that no single product is
+ever formed; a factor within 1e-12 of zero reads as an exact zero in a
+numerator and as a pole (PoleHit) in a denominator.  ``qpoch_infinite`` is
+one numerator row of it, and ``theta`` two.  The tests keep the product loops
+the kernel replaced as its reference.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -29,31 +28,6 @@ _LOG_TAIL = math.log(_TAIL)
 # |a q^j| within _SNAP of 1, so only factors with |a q^j| in [1/2, 2] are tested.
 _SNAP = 1e-12
 _LOG2 = math.log(2.0)
-
-
-def _factor_count(loga, rate, cutoff):
-    """How many factors 1 - a q^j of (a; q)_inf are kept, for log|a| = loga >=
-    log(_TAIL) and rate = -log|q|: those with |a q^j| >= _TAIL, or cutoff + 1
-    when that is more than the cap."""
-    x = (loga - _LOG_TAIL) / rate
-    return int(x) + 1 if x < cutoff else cutoff + 1
-
-
-def _snap_window(loga, rate, stop):
-    """The range of j < stop whose factor 1 - a q^j can come within _SNAP of 0:
-    those with |a q^j| in [1/2, 2], for log|a| = loga (empty when |a| < 1/2)."""
-    if loga < -_LOG2:
-        return 0, 0
-    lo = min(stop, max(0, math.ceil((loga - _LOG2) / rate)))
-    hi = min(stop, math.floor((loga + _LOG2) / rate) + 1)
-    return lo, hi
-
-
-def _too_many(size, cutoff):
-    return NoConvergence(
-        f"(a; q)_inf needs more than {cutoff} factors for |a| = {size:.1e} "
-        f"(|q| too close to 1)"
-    )
 
 
 @dataclass(frozen=True)
@@ -104,59 +78,6 @@ def qpoch_finite(a: complex, l: int, ctx: QContext) -> complex:
     return 1.0 / denom
 
 
-def qpoch_infinite(a: complex, ctx: QContext, vanish: str | None = None) -> complex:
-    """(a; q)_inf: the product of 1 - a q^j over every j with |a q^j| >= 1e-14.
-
-    The factor count n is fixed from log|a| and log|q| before the product
-    starts.  At most ctx.infinite_product_cutoff factors are multiplied, and
-    NoConvergence is raised when n exceeds that cap (|q| too close to 1 or
-    |a| too large for it).  vanish says what a factor within 1e-12 of zero
-    means, and is tested only on the factors that can come that close:
-
-      None    nothing special: the plain product
-      "zero"  an exact lattice zero: return 0 (a numerator)
-      "pole"  a pole: raise PoleHit (a denominator)
-
-    A zero or a pole within the first cutoff factors wins over NoConvergence.
-    A NaN or infinite argument gives NaN.
-    """
-    if vanish is not None and vanish != "zero" and vanish != "pole":
-        raise DomainError(f"vanish must be None, 'zero' or 'pole', got {vanish!r}")
-    aq = complex(a)
-    size = abs(aq)
-    if size < _TAIL:
-        return 1.0 + 0.0j
-    if not size < math.inf:  # NaN or inf in, NaN out
-        return complex(math.nan, math.nan)
-    q = ctx.q
-    rate = -math.log(abs(q))
-    loga = math.log(size)
-    cutoff = ctx.infinite_product_cutoff
-    n = _factor_count(loga, rate, cutoff)
-    stop = min(n, cutoff)
-    prod = 1.0 + 0.0j
-    hi = 0
-    if vanish is not None:
-        lo, hi = _snap_window(loga, rate, stop)
-        for _ in range(lo):
-            prod *= 1.0 - aq
-            aq *= q
-        for _ in range(lo, hi):
-            f = 1.0 - aq
-            if abs(f) < _SNAP:
-                if vanish == "zero":
-                    return 0.0 + 0.0j
-                raise PoleHit(f"denominator factor vanishes at argument {a}")
-            prod *= f
-            aq *= q
-    for _ in range(hi, stop):
-        prod *= 1.0 - aq
-        aq *= q
-    if n > cutoff:
-        raise _too_many(size, cutoff)
-    return prod
-
-
 # The ratio kernel imports numpy where it runs.  qcore is the package's first
 # module, and numpy loaded before the larger modules are compiled (when no
 # bytecode cache is written) raises the peak memory of `import qhyper.cli`
@@ -178,14 +99,15 @@ def _powers(q, cutoff):
 def qpoch_ratio(num, den, ctx: QContext) -> complex:
     """prod_k (num_k; q)_inf / prod_k (den_k; q)_inf.
 
-    Each product keeps the factors qpoch_infinite keeps, under the same cap,
-    and a vanishing factor reads as in its "zero" mode for a numerator and its
-    "pole" mode for a denominator.  Rows are taken in order, numerators first,
-    as a loop of qpoch_infinite calls would: the first row with a vanishing
-    factor returns 0 (a numerator) or raises PoleHit (a denominator), and the
-    first row past the cap raises NoConvergence, whichever comes first (a
-    vanishing factor within the cap wins over its own row's NoConvergence).
-    Otherwise a NaN or infinite argument gives NaN.
+    Each product keeps the factors 1 - c q^j with |c q^j| >= 1e-14; the count
+    is fixed from log|c| and log|q|, and a product that needs more than
+    ctx.infinite_product_cutoff factors raises NoConvergence (|q| too close to
+    1 or |c| too large for it).  Rows are taken in order, numerators first:
+    the first row with a factor within 1e-12 of zero returns 0 (a numerator)
+    or raises PoleHit (a denominator), and the first row past the cap raises
+    NoConvergence, whichever comes first (a vanishing factor within the cap
+    wins over its own row's NoConvergence).  Otherwise a NaN or infinite
+    argument gives NaN.
     """
     import numpy as np
 
@@ -200,7 +122,7 @@ def _ratio(coef, t, split, ctx: QContext) -> complex:
     prod_j [prod_k num_kj / prod_k den_kj]: no single product is formed, so
     none overflows on its own (|c t| large on the n < 0 half of a bilateral
     lattice).  The rows' factor counts and vanishing factors are settled
-    first, row by row, with qpoch_infinite's rules.
+    first, row by row.
     """
     import numpy as np
 
@@ -217,15 +139,18 @@ def _ratio(coef, t, split, ctx: QContext) -> complex:
                 nan = True
             elif size >= _TAIL:
                 loga = math.log(size)
-                n = _factor_count(loga, rate, cutoff)
-                lo, hi = _snap_window(loga, rate, min(n, cutoff))
+                n = int((loga - _LOG_TAIL) / rate) + 1
+                # only the factors with |a q^j| in [1/2, 2] can vanish
+                lo = max(0, math.ceil((loga - _LOG2) / rate))
+                hi = min(n, cutoff, math.floor((loga + _LOG2) / rate) + 1)
                 for j in range(lo, hi):
                     if abs(1.0 - a * power_list[j]) < _SNAP:
                         if k < split:
                             return 0.0 + 0.0j
                         raise PoleHit(f"denominator factor vanishes at argument {a}")
                 if n > cutoff:
-                    raise _too_many(size, cutoff)
+                    raise NoConvergence(f"(a; q)_inf needs more than {cutoff} factors for "
+                                        f"|a| = {size:.1e} (|q| too close to 1)")
             stops.append(n)
         width = max(stops, default=0)
         grid = np.where(cols[:width] < np.array(stops)[:, None],
@@ -234,11 +159,28 @@ def _ratio(coef, t, split, ctx: QContext) -> complex:
     return complex(math.nan, math.nan) if nan else val
 
 
+def qpoch_infinite(a: complex, ctx: QContext) -> complex:
+    """(a; q)_inf, one numerator row of the ratio kernel: a factor within
+    1e-12 of zero makes it exactly 0."""
+    return qpoch_ratio([a], [], ctx)
+
+
 def theta(x: complex, ctx: QContext) -> complex:
-    """Modified theta function theta(x; q) = (x; q)_inf (q/x; q)_inf."""
+    """Modified theta function theta(x; q) = (x; q)_inf (q/x; q)_inf, two
+    numerator rows of the ratio kernel."""
     if x == 0:
         raise DomainError("theta(x) needs x != 0")
-    return qpoch_infinite(x, ctx) * qpoch_infinite(ctx.q / x, ctx)
+    return qpoch_ratio([x, ctx.q / x], [], ctx)
+
+
+def principal_power(base, exponent):
+    """base**exponent on the principal branch (base != 0)."""
+    return cmath.exp(exponent * cmath.log(base))
+
+
+def q_exponent(value, ctx: QContext):
+    """The principal solution s of q^s = value."""
+    return cmath.log(value) / cmath.log(ctx.q)
 
 
 def elem_sym(k: int, xs) -> complex:

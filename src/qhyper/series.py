@@ -34,12 +34,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, NonFinite, TermEvaluationError
-from .qcore import QContext, qpoch_ratio
+from .qcore import QContext, principal_power, q_exponent, qpoch_ratio
 
 _TERMINATE_TOL = 1e-12
 # A block of shells holds at least this many terms; the target doubles from
@@ -256,6 +256,8 @@ def sum_shells(term, M: int, ctx: QContext, shell_cap=None, exact=False) -> Seri
     are checked, and no block is pulled past the cap, so shells ahead of the
     stop never raise.
     """
+    if M < 1:
+        raise DomainError(f"a shell sum needs M >= 1 summation indices, got M = {M}")
     cap = ctx.series_shell_cap if shell_cap is None else shell_cap
     if isinstance(term, ShellSpec):
         blocks = _spec_shells(term, M, ctx.q, cap)
@@ -590,6 +592,9 @@ def W_normalized(bp, ctx: QContext) -> SeriesResult:
     q/a_{M+3}.
     """
     M = bp.M
+    if len(bp.b) != len(bp.a) or M < 1:
+        raise DomainError(f"W_normalized needs len(a) == len(b) >= 4, got {len(bp.a)} a's "
+                          f"and {len(bp.b)} b's")
     a = [complex(t) for t in bp.a]
     b = [complex(t) for t in bp.b]
     q = ctx.q
@@ -606,9 +611,7 @@ def W_normalized(bp, ctx: QContext) -> SeriesResult:
     den = [q * q * ai * bM3 / (aM2 * aM3) for ai in a[:M]]
     den += [q * bj / aM2 for bj in b] + [q * bj / aM3 for bj in b]
     pref = qpoch_ratio(num, den, ctx) / (aM3 - aM2)
-    return SeriesResult(
-        pref * inner.value, inner.shells_used, inner.converged, inner.last_shell_magnitude
-    )
+    return replace(inner, value=pref * inner.value)
 
 
 def phi_D(p: QALParams, ctx: QContext) -> SeriesResult:
@@ -675,7 +678,7 @@ def qal_solution(k: int, p: QALParams, ctx: QContext) -> SeriesResult:
         raise DomainError(f"unknown qAL solution family {k}")
     pref = qpoch_ratio(num, den, ctx)
     res = sum_shells(spec, M, ctx)
-    return SeriesResult(pref * res.value, res.shells_used, res.converged, res.last_shell_magnitude)
+    return replace(res, value=pref * res.value)
 
 
 def degene_solution(k: int, a, b, qlambda, ctx: QContext, aM1_power=None) -> SeriesResult:
@@ -698,8 +701,7 @@ def degene_solution(k: int, a, b, qlambda, ctx: QContext, aM1_power=None) -> Ser
     aM1 = a[M]
     qbeta = math.prod(a) / (qlp2 * math.prod(b))
     if aM1_power is None:
-        lam1 = cmath.log(qlp1) / cmath.log(q)
-        aM1_power = cmath.exp(-lam1 * cmath.log(aM1))
+        aM1_power = principal_power(aM1, -q_exponent(qlp1, ctx))
 
     def dirs(nb, w, e=0):
         """Per-direction factors w_i^l q^(e C(l,2)) prod_{j<nb} (a_i/b_j)_l
@@ -746,4 +748,4 @@ def degene_solution(k: int, a, b, qlambda, ctx: QContext, aM1_power=None) -> Ser
         raise DomainError(f"unknown degenerate solution family {k}")
     pref = aM1_power * qpoch_ratio(num, den, ctx)
     res = sum_shells(spec, M, ctx)
-    return SeriesResult(pref * res.value, res.shells_used, res.converged, res.last_shell_magnitude)
+    return replace(res, value=pref * res.value)

@@ -31,7 +31,7 @@ from qhyper.identities import (
     run_suite,
     sample_balanced,
 )
-from qhyper.jackson import BalancedParams, principal_power, rp_integral
+from qhyper.jackson import BalancedParams, rp_integral
 from qhyper.operators import (
     LatticeFunction,
     build_EM,
@@ -47,7 +47,7 @@ from qhyper.operators import (
     residual,
     shift_op,
 )
-from qhyper.qcore import QContext, theta
+from qhyper.qcore import QContext, principal_power, theta
 from qhyper.series import KajiharaParams, kajihara_W
 
 CTX = default_context()

@@ -252,6 +252,36 @@ def test_verify_unwritable_out_fails_before_checks(tmp_path, capsys, monkeypatch
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+def test_eval_W_normalized_rejects_mismatched_lists(tmp_path, capsys):
+    # two b's raised IndexError (a traceback, exit 1), and six evaluated silently
+    params = tmp_path / "p.json"
+    for b in ([0.2, 0.33], [0.2, 0.33, 0.75, 1.5, 0.6, 0.7]):
+        params.write_text(json.dumps({"a": [0.45, 0.3, 0.55, 0.25], "b": b}))
+        rc = main(["eval", "W_normalized", str(params)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: DomainError: W_normalized needs len(a) == len(b)")
+        assert captured.out == ""
+
+
+def test_eval_no_summation_index_exit_two(tmp_path, capsys):
+    # M = 0 failed inside math.comb ("n must be a non-negative integer")
+    params = tmp_path / "p.json"
+    cases = (
+        ("phi_D", {"A": 0.3, "B": [], "C": 0.5, "x": []}, "M >= 1"),
+        ("kajihara_W", {"x": [], "a": 0.3, "u": [0.2, 0.4], "v": [0.1, 0.2], "z": 0.3},
+         "M >= 1"),
+        ("W_normalized", {"a": [0.45, 0.3, 0.55], "b": [0.2, 0.33, 0.75]}, ">= 4"),
+    )
+    for target, raw, needs in cases:
+        params.write_text(json.dumps(raw))
+        rc = main(["eval", target, str(params)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: DomainError:") and needs in captured.err
+        assert captured.out == ""
+
+
 def test_no_command_prints_help(capsys):
     rc = main([])
     assert rc == 2

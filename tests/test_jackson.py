@@ -8,7 +8,7 @@ import struct
 import pytest
 
 from qhyper.errors import DomainError, NoConvergence, NonFinite, PoleHit, QHyperError
-from qhyper.qcore import QContext, qpoch_infinite
+from qhyper.qcore import QContext, principal_power, q_exponent, qpoch_infinite
 from qhyper.jackson import (
     BalancedParams,
     JPParams,
@@ -17,13 +17,13 @@ from qhyper.jackson import (
     jackson_between,
     jackson_bilateral,
     jp_integral,
-    principal_power,
-    q_exponent,
     rp_integral,
     rp_integrand,
 )
 from qhyper.jackson import _Ratio
 from qhyper.series import W_normalized
+
+from old_loops import old_ratio
 
 CTX = QContext(q=0.5)
 
@@ -297,37 +297,18 @@ def test_pole_hit():
 # jackson_0_to, the two halves of jackson_bilateral and of jp_integral, and
 # degene_integral each had a stall loop of their own, and jp_integral and
 # degene_integral their own integrands.  Those loops are the references of
-# the one lattice sum; their integrands call qpoch_infinite's zero and pole
-# modes, which test_qcore checks bit for bit against the old product loops.
+# the one lattice sum; their integrands are the old product loops
+# (old_loops), the reference of the ratio kernel in test_qcore.
 # They evaluate the integrand directly at every lattice point, where the one
 # lattice sum steps it from point to point and evaluates it by the ratio
 # kernel, so values agree to the stepping's and the kernel's rounding: within
 # 2e-14 sum |terms|.
 
 
-def _num(arg, ctx):
-    return qpoch_infinite(arg, ctx, "zero")
-
-
-def _den(arg, ctx):
-    return qpoch_infinite(arg, ctx, "pole")
-
-
 def _old_ratio(num, den, ctx):
     """The old direct integrand: every numerator product multiplied out
     before any denominator divides."""
-    def f(t):
-        val = 1.0 + 0.0j
-        for c in num:
-            p = _num(c * t, ctx)
-            if p == 0:
-                return 0.0 + 0.0j
-            val *= p
-        for c in den:
-            val /= _den(c * t, ctx)
-        return val
-
-    return f
+    return lambda t: old_ratio([c * t for c in num], [c * t for c in den], ctx)
 
 
 def _old_check_finite(v, where):

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from qhyper.qcore import QContext, elem_sym
+from qhyper.qcore import QContext, elem_sym, principal_power
 from qhyper.errors import DomainError, NonFinite
 from qhyper.jackson import (
     BalancedParams,
@@ -15,7 +15,6 @@ from qhyper.jackson import (
     degene_integral,
     jackson_bilateral,
     jp_integral,
-    principal_power,
     rp_integral,
     rp_integrand,
 )

@@ -15,8 +15,8 @@ import pytest
 
 from qhyper import identities, series
 from qhyper.errors import DomainError, NonFinite, PoleHit, TermEvaluationError
-from qhyper.jackson import BalancedParams, principal_power
-from qhyper.qcore import QContext, qpoch_finite, qpoch_infinite
+from qhyper.jackson import BalancedParams
+from qhyper.qcore import QContext, principal_power, qpoch_finite, qpoch_infinite
 from qhyper.series import (
     Factor,
     KajiharaParams,
