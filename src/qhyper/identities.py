@@ -25,7 +25,9 @@ Tolerance tiers: 1e-12 terminating sums, 1e-8 convergent series/integrals,
 degenerations, which are checked at a single finite lattice point).
 """
 
+import bisect
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -100,18 +102,37 @@ def _unit(rng, lo=0.3, hi=0.85):
     return cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi))
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _lattice_powers(q, lo, hi):
+    """q^m for m in [lo, hi], multiplied out from q^lo in order, sorted by
+    modulus, and their moduli."""
+    powers, qm = [], q ** lo
+    for _ in range(lo, hi + 1):
+        powers.append(qm)
+        qm *= q
+    powers.sort(key=abs)
+    return powers, [abs(p) for p in powers]
+
+
 def _clear(val, ctx, lo=-8, hi=12, margin=0.035):
-    """True when val stays away from every q^{-m}, m in [lo, hi].
+    """True when val stays away from every q^{-m}, m in [lo, hi]: no
+    |val q^m - 1| < margin.
 
     Division by (val; q)_l or (val; q)_inf is then well conditioned, and the
-    clearance survives the q-shifts a difference operator applies.
+    clearance survives the q-shifts a difference operator applies.  Only the
+    q^m with |val| |q^m| within 2 margin of 1 can come within margin of it,
+    with room to spare for rounding, so only those are tested.
     """
     v = complex(val)
-    qm = ctx.q ** lo
-    for _ in range(lo, hi + 1):
+    powers, sizes = _lattice_powers(ctx.q, lo, hi)
+    size = abs(v)
+    first, last = 0, len(powers)
+    if size > 0:  # not 0 or NaN
+        first = bisect.bisect_left(sizes, (1.0 - 2 * margin) / size)
+        last = bisect.bisect_right(sizes, (1.0 + 2 * margin) / size)
+    for qm in powers[first:last]:
         if abs(v * qm - 1.0) < margin:
             return False
-        qm *= ctx.q
     return True
 
 

@@ -26,8 +26,26 @@ and evaluated directly at the first point, after a zero value, wherever a
 step factor comes within 1/2 of zero or the kernel may need more than its
 factor cap, and wherever a stepped value would overdraw the rounding budget
 _STEP_BUDGET; so every exact zero, pole, NoConvergence and NaN is still
-decided by the direct evaluation.  Any other callable is evaluated at every
-point.
+decided by the direct evaluation.  A step factor can come within 1/2 of zero
+only while some |c t| lies between 1/2 and 3/2; outside that band the step
+multiplies the same factors in the same order without testing them.  Any
+other callable is evaluated at every point.
+
+Two ends of a walk need no per-point work:
+
+- The numpy tail.  On the n >= 0 side |t| only shrinks, so once |c t| <=
+  0.49 for every coefficient no step factor comes within 1/2 of zero again.
+  From there the walk is one numpy block (``_tail``): the step ratios, their
+  multiply.accumulate, the partial sums from the carried total, S and D, the
+  stall run and the finiteness test, each accumulated in the scalar walk's
+  order.  The first point whose stepped value would overdraw the budget is
+  evaluated directly, and the walk resumes there with a new block.
+- The terminated n < 0 half.  There |t| grows, and a numerator row that has
+  a factor 1 - c t q^j within the kernel's snap of zero at t has the same
+  factor 1 - c (t / q) q^(j + 1) at t / q: once the kernel returns an exact 0,
+  every later point is a zero of that row, found before any later row (rows
+  are settled in order) and before any row's cap while |t| < reach.  The half
+  ends at its first zero, with the total the stall rule would return.
 
 The budget: a term stepped m times since the last direct evaluation carries
 about m (K + 1) eps of rounding for the K products of its integrand.  Each
@@ -41,6 +59,7 @@ point to its last.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -125,18 +144,23 @@ class _Ratio:
     lattice of base q.  reach is the |t| from which some (c t; q)_inf
     may need more than infinite_product_cutoff factors, so that the direct
     evaluation raises NoConvergence (halved, so that rounding in c t cannot
-    cross it)."""
+    cross it).  A step factor 1 - c t can come within 1/2 of zero only while
+    some |c t| lies between 1/2 and 3/2: band holds the |t| of those points,
+    widened to (0.49, 1.51) / |c| against rounding."""
 
-    __slots__ = ("num", "den", "ctx", "reach", "_coef")
+    __slots__ = ("num", "den", "ctx", "reach", "band", "_coef")
 
     def __init__(self, num, den, ctx: QContext):
         self.num = num
         self.den = den
         self.ctx = ctx
         self._coef = np.array([*num, *den], dtype=complex)
-        size = max(map(abs, num + den), default=0.0)
+        sizes = [abs(c) for c in num + den]
+        size = max(sizes, default=0.0)
         log_reach = math.log(_TAIL / 2) - ctx.infinite_product_cutoff * math.log(abs(ctx.q))
         self.reach = math.exp(min(log_reach - math.log(size), 700.0)) if size else math.inf
+        least = min(filter(None, sizes), default=0.0)
+        self.band = (0.49 / size if size else math.inf, 1.51 / least if least else math.inf)
 
     def __call__(self, t):
         return _ratio(self._coef, t, len(self.num), self.ctx)
@@ -151,23 +175,90 @@ class _Ratio:
 _STEP_BUDGET = 7
 
 
-def _step_ratio(num, den, s):
-    """prod_k (1 - num_k s) / prod_k (1 - den_k s), or None when a factor has
-    modulus below 1/2 (or is NaN): s may sit on a zero or a pole, and the
-    factor has lost digits to cancellation."""
+def _step_ratio(num, den, s, guard):
+    """prod_k (1 - num_k s) / prod_k (1 - den_k s).  With guard set, None when
+    a factor has modulus below 1/2 (or is NaN): s may sit on a zero or a pole,
+    and the factor has lost digits to cancellation."""
     up = 1.0 + 0.0j
     for c in num:
         x = 1.0 - c * s
-        if not abs(x) >= 0.5:
+        if guard and not abs(x) >= 0.5:
             return None
         up *= x
     down = 1.0 + 0.0j
     for c in den:
         x = 1.0 - c * s
-        if not abs(x) >= 0.5:
+        if guard and not abs(x) >= 0.5:
             return None
         down *= x
     return up / down
+
+
+def _first(mask):
+    """The index of the first True in mask, or len(mask)."""
+    i = int(mask.argmax())
+    return i if mask[i] else len(mask)
+
+
+def _tail(f, t, w, wstep, val, m, total, mass, drift, stall, room, where):
+    """The next k points of the n >= 0 walk of _lattice_sum from t, in one
+    numpy block (module docstring): val is the _Ratio f at t, m its steps
+    since a direct evaluation, room the points left before the cap, and k
+    enough points for the terms to fall from |val w| to the stall floor at
+    the rate |wstep|, with a quarter to spare.  Returns (total, None) once
+    the sum stalls; otherwise (total, state), the walk's state at the first
+    point whose stepped value would overdraw the budget (val None: evaluate
+    it directly), or at point k."""
+    ctx = f.ctx
+    k = ctx.stall_window
+    size, rate = abs(val * w), abs(wstep)
+    floor = ctx.rel_tol * max(1.0, abs(total))
+    if floor < size < math.inf and 0 < rate < 1:
+        k += 2 + math.ceil(1.25 * math.log(size / floor) / -math.log(rate))
+    k = min(k, room)
+    walk = np.empty((2, k + 1), dtype=complex)
+    walk[:, 0] = t, w
+    walk[0, 1:] = ctx.q
+    walk[1, 1:] = wstep
+    ts, ws = np.multiply.accumulate(walk, axis=1)
+    # psi(t q) = psi(t) prod (1 - den_k t) / prod (1 - num_k t), a column per t
+    grid = f._coef[:, None] * ts[:k]
+    np.subtract(1.0, grid, out=grid)
+    split = len(f.num)
+    vals = np.empty(k + 1, dtype=complex)
+    vals[0] = val
+    np.divide(np.multiply.reduce(grid[split:]), np.multiply.reduce(grid[:split]), out=vals[1:])
+    np.multiply.accumulate(vals, out=vals)
+    terms = vals * ws
+    sizes = np.hypot(terms.real, terms.imag)
+    totals = np.empty(k + 1, dtype=complex)
+    totals[0] = total
+    totals[1:] = terms[:k]
+    totals = np.add.accumulate(totals)[1:]
+    index = np.arange(k + 1)
+    budget = np.empty((2, k + 2))
+    budget[:, 0] = mass, drift
+    budget[0, 1:] = sizes
+    np.multiply(m + index, sizes, out=budget[1, 1:])
+    masses, drifts = np.add.accumulate(budget, axis=1)[:, 1:]
+    # point i >= 1 is stepped only within the budget (a NaN goes to the kernel)
+    over = 1 + _first(~(drifts[1:] <= _STEP_BUDGET * masses[1:]))
+    h = min(over, k)
+    small = sizes[:h] <= ctx.rel_tol * np.maximum(1.0, np.hypot(totals[:h].real, totals[:h].imag))
+    # the run of negligible terms that ends at each point, carried run included
+    runs = index[:h] - np.maximum.accumulate(np.where(small, -1 - stall, index[:h]))
+    stop = _first(runs >= ctx.stall_window)
+    # a non-finite term leaves every later partial sum non-finite
+    if not cmath.isfinite(totals[min(stop, h - 1)]):
+        bad = _first(~np.isfinite(terms[:h]))
+        if bad < h and bad <= stop:
+            raise NonFinite(f"non-finite value in {where}")
+    if stop < h:
+        return complex(totals[stop]), None
+    i = h - 1
+    val = complex(vals[h]) if over > k else None
+    return complex(totals[i]), (h, complex(ts[h]), complex(ws[h]), val, m + h,
+                                float(masses[i]), float(drifts[i]), int(runs[i]))
 
 
 def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
@@ -184,7 +275,8 @@ def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
     rounding budget allows: with m the steps since the last direct evaluation
     and S = sum |term| so far, the sum keeps D = sum m |term| <=
     _STEP_BUDGET S (see the module docstring for the points evaluated
-    directly); anything else is called at every point.
+    directly, the numpy tail and the terminated n < 0 half); anything else is
+    called at every point.
     """
     cap = 4 * ctx.infinite_product_cutoff
     stall = 0
@@ -192,13 +284,23 @@ def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
     stepped = isinstance(f, _Ratio) and f.ctx.q == q
     if stepped:
         up, down = (f.num, f.den) if divide else (f.den, f.num)
+        low, high = f.band
     val = None  # f(t), when the previous point stepped to it
     m = 0  # steps since the last direct evaluation
     mass = drift = 0.0  # S = sum |term| and D = sum m |term|
-    for _ in range(cap):
+    n = 0  # points summed
+    while n < cap:
         if val is None:
             val = complex(f(t))
             m = 0
+        if stepped and not divide and val != 0 and abs(t) <= low and abs(t) < f.reach:
+            total, state = _tail(f, t, w, wstep, val, m, total, mass, drift, stall, cap - n,
+                                 where)
+            if state is None:
+                return total
+            h, t, w, val, m, mass, drift, stall = state
+            n += h
+            continue
         term = val * w
         if not (math.isfinite(term.real) and math.isfinite(term.imag)):
             raise NonFinite(f"non-finite value in {where}")
@@ -212,6 +314,15 @@ def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
                 return total
         else:
             stall = 0
+        n += 1
+        if divide and m == 0 and val == 0 and stepped:
+            # a numerator row's lattice zero: at each later point of the n < 0
+            # half it is the same factor one column on, and below reach no
+            # row can raise first, so the half is complete
+            rest = ctx.stall_window - stall
+            last = t / q ** rest, w / wstep ** rest
+            if n + rest <= cap and abs(last[0]) < f.reach and cmath.isfinite(last[1]):
+                return total
         m += 1
         if divide:
             t /= q
@@ -220,8 +331,10 @@ def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
         # point; psi(t / q) = psi(t) prod (1 - num_k t / q) / prod (1 - den_k t / q)
         # at the new one
         r = None
-        if stepped and val != 0 and abs(t) < f.reach:
-            r = _step_ratio(up, down, t)
+        if stepped and val != 0:
+            size = abs(t)
+            if size < f.reach:
+                r = _step_ratio(up, down, t, low < size < high)
         if not divide:
             t *= q
             w *= wstep

@@ -86,14 +86,13 @@ def qpoch_finite(a: complex, l: int, ctx: QContext) -> complex:
 
 @functools.lru_cache(maxsize=8)
 def _powers(q, cutoff):
-    """-log|q|, and q^j for j < cutoff as an array and as a list, and the
-    column indices j."""
+    """-log|q|, and q^j for j < cutoff as an array and as a list."""
     import numpy as np
 
     row = np.full(cutoff, q, dtype=complex)
     row[0] = 1.0
     row = np.multiply.accumulate(row)
-    return -math.log(abs(q)), row, row.tolist(), np.arange(cutoff)
+    return -math.log(abs(q)), row, row.tolist()
 
 
 def qpoch_ratio(num, den, ctx: QContext) -> complex:
@@ -122,12 +121,13 @@ def _ratio(coef, t, split, ctx: QContext) -> complex:
     prod_j [prod_k num_kj / prod_k den_kj]: no single product is formed, so
     none overflows on its own (|c t| large on the n < 0 half of a bilateral
     lattice).  The rows' factor counts and vanishing factors are settled
-    first, row by row.
+    first, row by row; only a row with |c t| >= 1/2 has factors with
+    |c t q^j| in [1/2, 2] to test, but every row is held to the cap.
     """
     import numpy as np
 
     cutoff = ctx.infinite_product_cutoff
-    rate, powers, power_list, cols = _powers(ctx.q, cutoff)
+    rate, powers, power_list = _powers(ctx.q, cutoff)
     with np.errstate(over="ignore", invalid="ignore"):
         args = coef * t
         stops = []
@@ -140,22 +140,26 @@ def _ratio(coef, t, split, ctx: QContext) -> complex:
             elif size >= _TAIL:
                 loga = math.log(size)
                 n = int((loga - _LOG_TAIL) / rate) + 1
-                # only the factors with |a q^j| in [1/2, 2] can vanish
-                lo = max(0, math.ceil((loga - _LOG2) / rate))
-                hi = min(n, cutoff, math.floor((loga + _LOG2) / rate) + 1)
-                for j in range(lo, hi):
-                    if abs(1.0 - a * power_list[j]) < _SNAP:
-                        if k < split:
-                            return 0.0 + 0.0j
-                        raise PoleHit(f"denominator factor vanishes at argument {a}")
+                if size >= 0.5:
+                    # only the factors with |a q^j| in [1/2, 2] can vanish
+                    lo = max(0, math.ceil((loga - _LOG2) / rate))
+                    hi = min(n, cutoff, math.floor((loga + _LOG2) / rate) + 1)
+                    for j in range(lo, hi):
+                        if abs(1.0 - a * power_list[j]) < _SNAP:
+                            if k < split:
+                                return 0.0 + 0.0j
+                            raise PoleHit(f"denominator factor vanishes at argument {a}")
                 if n > cutoff:
                     raise NoConvergence(f"(a; q)_inf needs more than {cutoff} factors for "
                                         f"|a| = {size:.1e} (|q| too close to 1)")
             stops.append(n)
         width = max(stops, default=0)
-        grid = np.where(cols[:width] < np.array(stops)[:, None],
-                        1.0 - args[:, None] * powers[:width], 1.0)
-        val = complex((grid[:split].prod(axis=0) / grid[split:].prod(axis=0)).prod())
+        grid = 1.0 - args[:, None] * powers[:width]
+        for k, n in enumerate(stops):
+            if n < width:
+                grid[k, n:] = 1.0
+        prod = np.multiply.reduce
+        val = complex(prod(prod(grid[:split]) / prod(grid[split:])))
     return complex(math.nan, math.nan) if nan else val
 
 

@@ -2,6 +2,7 @@
 samplers respect their own admissibility predicates, perturbed parameters
 break every equality, and reruns are bit-for-bit deterministic."""
 
+import cmath
 import hashlib
 import math
 import random
@@ -26,7 +27,7 @@ from qhyper.identities import (
 from qhyper.jackson import BalancedParams, rp_integral
 from qhyper.operators import LatticeFunction, build_EM_hat, residual
 from qhyper.qcore import QContext, qpoch_infinite
-from qhyper.identities import _phi_lattice, _rng_for
+from qhyper.identities import _clear, _phi_lattice, _rng_for
 
 CTX = default_context()
 
@@ -249,3 +250,34 @@ def test_complex_q_pass():
     for case_id in ("kajihara.transform", "thm31.series", "qal.phiD", "W.symmetry"):
         rep = check(case_id, 0, 1, ctx)
         assert rep.passed, (case_id, rep.rel_error, rep.reason)
+
+
+def _loop_clear(val, ctx, lo=-8, hi=12, margin=0.035):
+    """The lattice clearance one m at a time: the reference of _clear."""
+    v = complex(val)
+    qm = ctx.q ** lo
+    for _ in range(lo, hi + 1):
+        if abs(v * qm - 1.0) < margin:
+            return False
+        qm *= ctx.q
+    return True
+
+
+@pytest.mark.parametrize("q", (0.5, 0.9, -0.5, 0.6 * cmath.exp(0.5j)))
+def test_clear_matches_loop(q):
+    # values at |v q^m - 1| within 1e-9 relative of the margin, on either
+    # side, and random ones; the windows and margins the samplers use
+    ctx = QContext(q=q)
+    rng = random.Random(31)
+    for lo, hi, margin in ((-8, 12, 0.035), (-8, 12, 0.05), (-8, 12, 0.08), (0, 12, 0.08),
+                           (1, 12, 0.035)):
+        values = [0.0, complex(math.nan, 0.0), complex(math.inf, 0.0), q ** -(lo - 1),
+                  q ** -(hi + 1)]
+        for _ in range(400):
+            m = rng.randrange(lo - 1, hi + 2)
+            edge = margin * (1.0 + rng.choice((-1e-9, 1e-9)) * rng.random())
+            values.append(q ** -m * (1.0 + cmath.rect(edge, rng.uniform(0.0, 2 * math.pi))))
+            values.append(cmath.rect(10.0 ** rng.uniform(-3, 3), rng.uniform(0.0, 2 * math.pi)))
+        decisions = [_clear(v, ctx, lo, hi, margin) for v in values]
+        assert decisions == [_loop_clear(v, ctx, lo, hi, margin) for v in values]
+        assert True in decisions and False in decisions

@@ -20,6 +20,7 @@ from qhyper.jackson import (
     rp_integral,
     rp_integrand,
 )
+from qhyper import jackson
 from qhyper.jackson import _Ratio
 from qhyper.series import W_normalized
 
@@ -690,9 +691,10 @@ def test_step_onto_negative_half_zero_gives_exact_zero():
     val = jackson_bilateral(tau, spy, ctx)
     assert terms[-3:] == [0, 0, 0]
     assert abs(val - ref) <= 2e-14 * sum(map(abs, terms))
-    # the zero and the points after it were evaluated directly
+    # the zero was evaluated directly, and the half ends there: the points
+    # after it are zeros of the same numerator row
     zero = tau / ctx.q / ctx.q / ctx.q
-    assert spy.seen[-3:] == [zero, zero / ctx.q, zero / ctx.q / ctx.q]
+    assert spy.seen[-1] == zero
 
 
 def test_step_onto_negative_half_pole_raises():
@@ -762,6 +764,116 @@ def test_steps_stop_where_the_kernel_would_raise():
     for fn in (_old_jackson_bilateral, jackson_bilateral):
         with pytest.raises(NoConvergence, match="needs more than 300 factors"):
             fn(1.0, psi, ctx)
+
+
+# ------------------------------------------------ the numpy tail
+#
+# Once |c t| <= 0.49 for every coefficient c, no step factor can come within
+# 1/2 of zero, and the rest of the n >= 0 walk is taken in numpy blocks.  The
+# reference is the walk one point at a time, as the scalar loop takes it.
+
+
+def _scalar_walk(tau, psi, ctx):
+    """(1 - q) sum_{n >= 0} psi(tau q^n) tau q^n, the _Ratio psi stepped one
+    point at a time within the rounding budget and called directly where
+    jackson_0_to calls it (points with a step factor below 1/2 included)."""
+    t = w = complex(tau)
+    total, val, m, mass, drift, stall = 0j, None, 0, 0.0, 0.0, 0
+    for _ in range(4 * ctx.infinite_product_cutoff):
+        if val is None:
+            val, m = complex(psi(t)), 0
+        term = val * w
+        total += term
+        size = abs(term)
+        mass += size
+        drift += m * size
+        if size <= ctx.rel_tol * max(1.0, abs(total)):
+            stall += 1
+            if stall >= ctx.stall_window:
+                return (1.0 - ctx.q) * total
+        else:
+            stall = 0
+        m += 1
+        r = None
+        if val != 0 and abs(t) < psi.reach:
+            up = math.prod(1.0 - c * t for c in psi.den)
+            down = math.prod(1.0 - c * t for c in psi.num)
+            if min(abs(1.0 - c * t) for c in psi.num + psi.den) >= 0.5:
+                r = up / down
+        t *= ctx.q
+        w *= ctx.q
+        if r is not None:
+            size = abs(val * r * w)
+            val = val * r if drift + m * size <= 7 * (mass + size) else None
+        else:
+            val = None
+    raise NoConvergence("the scalar walk did not stall")
+
+
+def _tail_cases(q):
+    """(ctx, spy, tau): balanced integrands from q / a_1 and from a random
+    point at |q| < 0.9, and _long_lattices at |q| = 0.9.  At |q| = 0.5 the
+    first case's terms fall below the stall floor while |c t| > 0.49 still,
+    so its first block carries a stall run."""
+    if abs(q) == 0.9:
+        yield from _long_lattices(q)
+        return
+    ctx = QContext(q=q)
+    yield ctx, _Spy((1e13,), (1.1e13,), ctx), 1.0
+    rng = random.Random(14)
+    for M in (1, 2, 3):
+        bp = sample_balanced(rng, M, ctx)
+        spy = _Spy(tuple(map(complex, bp.a)), tuple(map(complex, bp.b)), ctx)
+        for tau in (ctx.q / bp.a[0], _rand_unit(rng, 0.5, 1.5)):
+            yield ctx, spy, tau
+
+
+@pytest.mark.parametrize("q", LATTICE_QS + (0.9,))
+def test_tail_matches_scalar_walk(q, monkeypatch):
+    # the blocks take the same points directly as the walk one point at a
+    # time, and the sums agree to rounding; the grid has blocks that stall
+    # the sum at once and, at q = 0.9, blocks cut short by the budget
+    ends, real = [], jackson._tail
+
+    def tail(*args):
+        total, state = real(*args)
+        ends.append("stall" if state is None else "budget" if state[3] is None else "room")
+        return total, state
+
+    monkeypatch.setattr(jackson, "_tail", tail)
+    for ctx, spy, tau in _tail_cases(q):
+        spy.seen.clear()
+        ref = _scalar_walk(tau, spy, ctx)
+        direct, spy.seen[:] = spy.seen[:], []
+        terms = []
+        _old_jackson_0_to(tau, spy, ctx, terms=terms)
+        spy.seen.clear()
+        ends.append("sum")
+        got = jackson_0_to(tau, spy, ctx)
+        assert spy.seen == direct
+        assert abs(got - ref) <= 2e-14 * sum(map(abs, terms)), (got, ref)
+    sums = " ".join(ends).split("sum")[1:]
+    # a sum that reaches the tail stalls in a block
+    assert all(s.split()[-1:] in ([], ["stall"]) for s in sums)
+    # the first block of a sum that stalls there, or one cut short by the budget
+    assert any(s.split() == ["stall"] for s in sums)
+    assert ("budget" in ends) == (abs(q) == 0.9)
+
+
+def test_terminated_negative_half_makes_one_kernel_call():
+    # tau = q / a_1, as in the anchored bilateral integrals of EM: the first
+    # point of the n < 0 half, 1 / a_1, is a lattice zero of (a_1 t; q)_inf,
+    # and so is every point after it
+    ctx = QContext(q=0.7)
+    bp = sample_balanced(random.Random(15), 2, ctx)
+    spy = _Spy(tuple(map(complex, bp.a)), tuple(map(complex, bp.b)), ctx)
+    tau = ctx.q / bp.a[0]
+    terms = []
+    ref = _old_jackson_bilateral(tau, spy, ctx, terms=terms)
+    spy.seen.clear()
+    val = jackson_bilateral(tau, spy, ctx)
+    assert abs(val - ref) <= 2e-14 * sum(map(abs, terms))
+    assert [t for t in spy.seen if abs(t) > abs(tau)] == [tau / ctx.q]
 
 
 # ------------------------------------------------------ mpmath shadow
