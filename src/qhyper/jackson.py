@@ -12,9 +12,9 @@ tau^(alpha-1) is fixed once (principal branch unless the caller passes it in),
 and lattice steps multiply by exact integer powers of q^alpha.
 
 Every lattice sum here (one-sided, each half of a bilateral sum, the
-Jordan-Pochhammer and the degenerate integral) is one stall loop,
-``_lattice_sum``.  Every integrand of this module is a ``_Ratio`` of infinite
-products, evaluated directly by qcore's ratio kernel (``qpoch_ratio``): one
+Jordan-Pochhammer and the degenerate integral) is one walk, ``_lattice_sum``,
+that stops by qcore's stall rule.  Every integrand of this module is a
+``_Ratio`` of infinite products, evaluated directly by qcore's ratio kernel (``qpoch_ratio``): one
 grid of factors, divided column by column, where an exact lattice zero of a
 numerator returns 0 and a vanishing denominator factor raises PoleHit, rows
 taken in order, numerators first.  Along its lattice a ``_Ratio`` is stepped
@@ -26,20 +26,22 @@ and evaluated directly at the first point, after a zero value, wherever a
 step factor comes within 1/2 of zero or the kernel may need more than its
 factor cap, and wherever a stepped value would overdraw the rounding budget
 _STEP_BUDGET; so every exact zero, pole, NoConvergence and NaN is still
-decided by the direct evaluation.  A step factor can come within 1/2 of zero
-only while some |c t| lies between 1/2 and 3/2; outside that band the step
-multiplies the same factors in the same order without testing them.  Any
-other callable is evaluated at every point.
+decided by the direct evaluation.  Any other callable is evaluated at every
+point.  On the n >= 0 side the exact lattice zeros of a ``_Ratio`` come
+first (a numerator factor that vanishes at t q vanishes one index higher at
+t) and end within infinite_product_cutoff + 1 points; the walk counts none
+of them as negligible, so a sum that starts on stall_window zeros is not
+taken for 0.
 
 Two ends of a walk need no per-point work:
 
 - The numpy tail.  On the n >= 0 side |t| only shrinks, so once |c t| <=
   0.49 for every coefficient no step factor comes within 1/2 of zero again.
   From there the walk is one numpy block (``_tail``): the step ratios, their
-  multiply.accumulate, the partial sums from the carried total, S and D, the
-  stall run and the finiteness test, each accumulated in the scalar walk's
-  order.  The first point whose stepped value would overdraw the budget is
-  evaluated directly, and the walk resumes there with a new block.
+  multiply.accumulate, S and D, each accumulated in the scalar walk's order,
+  and the stall rule over the block.  The first point whose stepped value
+  would overdraw the budget is evaluated directly, and the walk resumes there
+  with a new block.
 - The terminated n < 0 half.  There |t| grows, and a numerator row that has
   a factor 1 - c t q^j within the kernel's snap of zero at t has the same
   factor 1 - c (t / q) q^(j + 1) at t / q: once the kernel returns an exact 0,
@@ -65,11 +67,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, NonFinite
+from .errors import DomainError, NoConvergence
 from .qcore import QContext, principal_power, q_exponent
-# private names: the products are part of this layer's per-point work, and
-# per-layer tracing wraps only the public names one module imports from another
-from .qcore import _TAIL, _ratio
+# private names: the products and the stall rule are part of this layer's
+# per-point work, and per-layer tracing wraps only the public names one module
+# imports from another
+from .qcore import _TAIL, _ratio, _stall_block, _stall_step
 
 
 @dataclass(frozen=True)
@@ -144,11 +147,10 @@ class _Ratio:
     lattice of base q.  reach is the |t| from which some (c t; q)_inf
     may need more than infinite_product_cutoff factors, so that the direct
     evaluation raises NoConvergence (halved, so that rounding in c t cannot
-    cross it).  A step factor 1 - c t can come within 1/2 of zero only while
-    some |c t| lies between 1/2 and 3/2: band holds the |t| of those points,
-    widened to (0.49, 1.51) / |c| against rounding."""
+    cross it).  Below |t| = tail_from, |c t| <= 0.49 for every coefficient,
+    so no step factor 1 - c t comes within 1/2 of zero."""
 
-    __slots__ = ("num", "den", "ctx", "reach", "band", "_coef")
+    __slots__ = ("num", "den", "ctx", "reach", "tail_from", "_coef")
 
     def __init__(self, num, den, ctx: QContext):
         self.num = num
@@ -159,8 +161,7 @@ class _Ratio:
         size = max(sizes, default=0.0)
         log_reach = math.log(_TAIL / 2) - ctx.infinite_product_cutoff * math.log(abs(ctx.q))
         self.reach = math.exp(min(log_reach - math.log(size), 700.0)) if size else math.inf
-        least = min(filter(None, sizes), default=0.0)
-        self.band = (0.49 / size if size else math.inf, 1.51 / least if least else math.inf)
+        self.tail_from = 0.49 / size if size else math.inf
 
     def __call__(self, t):
         return _ratio(self._coef, t, len(self.num), self.ctx)
@@ -175,37 +176,31 @@ class _Ratio:
 _STEP_BUDGET = 7
 
 
-def _step_ratio(num, den, s, guard):
-    """prod_k (1 - num_k s) / prod_k (1 - den_k s).  With guard set, None when
-    a factor has modulus below 1/2 (or is NaN): s may sit on a zero or a pole,
-    and the factor has lost digits to cancellation."""
-    up = 1.0 + 0.0j
+def _step_ratio(num, den, s):
+    """prod_k (1 - num_k s) / prod_k (1 - den_k s), or None when a factor has
+    modulus below 1/2 (or is NaN): s may sit on a zero or a pole, and the
+    factor has lost digits to cancellation."""
+    up, down = 1.0 + 0.0j, 1.0 + 0.0j
     for c in num:
         x = 1.0 - c * s
-        if guard and not abs(x) >= 0.5:
+        if not abs(x) >= 0.5:
             return None
         up *= x
-    down = 1.0 + 0.0j
     for c in den:
         x = 1.0 - c * s
-        if guard and not abs(x) >= 0.5:
+        if not abs(x) >= 0.5:
             return None
         down *= x
     return up / down
 
 
-def _first(mask):
-    """The index of the first True in mask, or len(mask)."""
-    i = int(mask.argmax())
-    return i if mask[i] else len(mask)
-
-
-def _tail(f, t, w, wstep, val, m, total, mass, drift, stall, room, where):
-    """The next k points of the n >= 0 walk of _lattice_sum from t, in one
-    numpy block (module docstring): val is the _Ratio f at t, m its steps
-    since a direct evaluation, room the points left before the cap, and k
+def _tail(f, t, w, wstep, val, m, total, mass, drift, stall, n, room, at):
+    """The next k points of the n >= 0 walk of _lattice_sum from t, its point
+    n, in one numpy block (module docstring): val is the _Ratio f at t, m its
+    steps since a direct evaluation, room the points left before the cap, and k
     enough points for the terms to fall from |val w| to the stall floor at
-    the rate |wstep|, with a quarter to spare.  Returns (total, None) once
+    the rate |wstep|, with a quarter to spare; at names the points in
+    NonFinite errors, as in _stall_block.  Returns (total, None) once
     the sum stalls; otherwise (total, state), the walk's state at the first
     point whose stepped value would overdraw the budget (val None: evaluate
     it directly), or at point k."""
@@ -216,75 +211,64 @@ def _tail(f, t, w, wstep, val, m, total, mass, drift, stall, room, where):
     if floor < size < math.inf and 0 < rate < 1:
         k += 2 + math.ceil(1.25 * math.log(size / floor) / -math.log(rate))
     k = min(k, room)
-    walk = np.empty((2, k + 1), dtype=complex)
-    walk[:, 0] = t, w
-    walk[0, 1:] = ctx.q
-    walk[1, 1:] = wstep
-    ts, ws = np.multiply.accumulate(walk, axis=1)
-    # psi(t q) = psi(t) prod (1 - den_k t) / prod (1 - num_k t), a column per t
-    grid = f._coef[:, None] * ts[:k]
-    np.subtract(1.0, grid, out=grid)
-    split = len(f.num)
-    vals = np.empty(k + 1, dtype=complex)
-    vals[0] = val
-    np.divide(np.multiply.reduce(grid[split:]), np.multiply.reduce(grid[:split]), out=vals[1:])
-    np.multiply.accumulate(vals, out=vals)
-    terms = vals * ws
-    sizes = np.hypot(terms.real, terms.imag)
-    totals = np.empty(k + 1, dtype=complex)
-    totals[0] = total
-    totals[1:] = terms[:k]
-    totals = np.add.accumulate(totals)[1:]
-    index = np.arange(k + 1)
-    budget = np.empty((2, k + 2))
-    budget[:, 0] = mass, drift
-    budget[0, 1:] = sizes
-    np.multiply(m + index, sizes, out=budget[1, 1:])
-    masses, drifts = np.add.accumulate(budget, axis=1)[:, 1:]
-    # point i >= 1 is stepped only within the budget (a NaN goes to the kernel)
-    over = 1 + _first(~(drifts[1:] <= _STEP_BUDGET * masses[1:]))
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite total
+        walk = np.empty((2, k + 1), dtype=complex)
+        walk[:, 0] = t, w
+        walk[0, 1:] = ctx.q
+        walk[1, 1:] = wstep
+        ts, ws = np.multiply.accumulate(walk, axis=1)
+        # psi(t q) = psi(t) prod (1 - den_k t) / prod (1 - num_k t), a column per t
+        grid = f._coef[:, None] * ts[:k]
+        np.subtract(1.0, grid, out=grid)
+        split = len(f.num)
+        vals = np.empty(k + 1, dtype=complex)
+        vals[0] = val
+        np.divide(np.multiply.reduce(grid[split:]), np.multiply.reduce(grid[:split]),
+                  out=vals[1:])
+        np.multiply.accumulate(vals, out=vals)
+        terms = vals * ws
+        sizes = np.hypot(terms.real, terms.imag)
+        budget = np.empty((2, k + 2))
+        budget[:, 0] = mass, drift
+        budget[0, 1:] = sizes
+        np.multiply(np.arange(m, m + k + 1), sizes, out=budget[1, 1:])
+        masses, drifts = np.add.accumulate(budget, axis=1)[:, 1:]
+        # point i >= 1 is stepped only within the budget (a NaN goes to the kernel)
+        within = drifts[1:] <= _STEP_BUDGET * masses[1:]
+    over = k + 1 if within.all() else 1 + int(within.argmin())
     h = min(over, k)
-    small = sizes[:h] <= ctx.rel_tol * np.maximum(1.0, np.hypot(totals[:h].real, totals[:h].imag))
-    # the run of negligible terms that ends at each point, carried run included
-    runs = index[:h] - np.maximum.accumulate(np.where(small, -1 - stall, index[:h]))
-    stop = _first(runs >= ctx.stall_window)
-    # a non-finite term leaves every later partial sum non-finite
-    if not cmath.isfinite(totals[min(stop, h - 1)]):
-        bad = _first(~np.isfinite(terms[:h]))
-        if bad < h and bad <= stop:
-            raise NonFinite(f"non-finite value in {where}")
-    if stop < h:
-        return complex(totals[stop]), None
-    i = h - 1
+    _, total, _, stall = _stall_block(terms[:h], total, stall, ctx, at, n)
+    if stall >= ctx.stall_window:
+        return total, None
     val = complex(vals[h]) if over > k else None
-    return complex(totals[i]), (h, complex(ts[h]), complex(ws[h]), val, m + h,
-                                float(masses[i]), float(drifts[i]), int(runs[i]))
+    return total, (h, complex(ts[h]), complex(ws[h]), val, m + h,
+                   float(masses[h - 1]), float(drifts[h - 1]), stall)
 
 
 def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
     """total + sum_{n >= 0} f(t_n) w_n with t_n = t q^n, w_n = w wstep^n.
 
     With divide set, each step divides by q and wstep instead (the n < 0
-    half of a bilateral lattice).  The sum stops once stall_window consecutive
-    terms are each at most rel_tol * max(1, |running total|); the running
-    total starts at the total passed in, so the second half of a bilateral sum
-    stalls against the whole sum.  A non-finite term raises NonFinite, and
-    4 * infinite_product_cutoff points without a stall raise NoConvergence.
+    half of a bilateral lattice).  The sum stops by qcore's stall rule, its
+    running total starting at the total passed in, so the second half of a
+    bilateral sum stalls against the whole sum; 4 * infinite_product_cutoff
+    points without a stall raise NoConvergence.
 
     A _Ratio of base q is stepped from each point to the next while the
     rounding budget allows: with m the steps since the last direct evaluation
     and S = sum |term| so far, the sum keeps D = sum m |term| <=
     _STEP_BUDGET S (see the module docstring for the points evaluated
-    directly, the numpy tail and the terminated n < 0 half); anything else is
-    called at every point.
+    directly, the numpy tail, the leading zeros and the terminated n < 0
+    half); anything else is called at every point.
     """
     cap = 4 * ctx.infinite_product_cutoff
+    at = f"point {{}} of {where}"  # where a non-finite total is reported
     stall = 0
     q = ctx.q
     stepped = isinstance(f, _Ratio) and f.ctx.q == q
     if stepped:
         up, down = (f.num, f.den) if divide else (f.den, f.num)
-        low, high = f.band
+    lead = stepped and not divide
     val = None  # f(t), when the previous point stepped to it
     m = 0  # steps since the last direct evaluation
     mass = drift = 0.0  # S = sum |term| and D = sum m |term|
@@ -293,27 +277,21 @@ def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
         if val is None:
             val = complex(f(t))
             m = 0
-        if stepped and not divide and val != 0 and abs(t) <= low and abs(t) < f.reach:
-            total, state = _tail(f, t, w, wstep, val, m, total, mass, drift, stall, cap - n,
-                                 where)
+        if lead and val != 0 and abs(t) <= f.tail_from and abs(t) < f.reach:
+            total, state = _tail(f, t, w, wstep, val, m, total, mass, drift, stall, n, cap - n,
+                                 at)
             if state is None:
                 return total
             h, t, w, val, m, mass, drift, stall = state
             n += h
             continue
-        term = val * w
-        if not (math.isfinite(term.real) and math.isfinite(term.imag)):
-            raise NonFinite(f"non-finite value in {where}")
-        total += term
-        size = abs(term)
+        total, size, stall = _stall_step(val * w, total, stall, ctx, at, n)
         mass += size
         drift += m * size
-        if size <= ctx.rel_tol * max(1.0, abs(total)):
-            stall += 1
-            if stall >= ctx.stall_window:
-                return total
-        else:
+        if lead and val == 0:  # a leading zero: never negligible (module docstring)
             stall = 0
+        elif stall >= ctx.stall_window:
+            return total
         n += 1
         if divide and m == 0 and val == 0 and stepped:
             # a numerator row's lattice zero: at each later point of the n < 0
@@ -331,10 +309,8 @@ def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
         # point; psi(t / q) = psi(t) prod (1 - num_k t / q) / prod (1 - den_k t / q)
         # at the new one
         r = None
-        if stepped and val != 0:
-            size = abs(t)
-            if size < f.reach:
-                r = _step_ratio(up, down, t, low < size < high)
+        if stepped and val != 0 and abs(t) < f.reach:
+            r = _step_ratio(up, down, t)
         if not divide:
             t *= q
             w *= wstep

@@ -2,14 +2,23 @@
 
 All evaluation happens in complex double precision with a base |q| < 1.  The
 QContext bundles q together with the truncation knobs every summation in the
-package shares, so numerical policy lives in one place.  Every (a; q)_inf
-factor is formed by one kernel, ``qpoch_ratio``: a product or ratio of
-products (every Jackson integrand and every prefactor) is one call, from one
-numpy grid of factors divided column by column so that no single product is
-ever formed; a factor within 1e-12 of zero reads as an exact zero in a
-numerator and as a pole (PoleHit) in a denominator.  ``qpoch_infinite`` is
-one numerator row of it, and ``theta`` two.  The tests keep the product loops
-the kernel replaced as its reference.
+package shares, so numerical policy lives in one place.
+
+Every infinite sum of the package (the shell sums of series and the lattice
+sums of jackson) is truncated by one stall rule: a term is negligible when
+|term| <= rel_tol * max(1, |running total|); the sum stops at the end of the
+first run of stall_window negligible terms; and a non-finite running total
+raises NonFinite.  ``_stall_block`` applies it to a numpy block of terms,
+carrying the total and the open run from block to block, and ``_stall_step``
+to one term; both stop at the same term with the same total.
+
+Every (a; q)_inf factor is formed by one kernel, ``qpoch_ratio``: a product
+or ratio of products (every Jackson integrand and every prefactor) is one
+call, from one numpy grid of factors divided column by column so that no
+single product is ever formed; a factor within 1e-12 of zero reads as an
+exact zero in a numerator and as a pole (PoleHit) in a denominator.
+``qpoch_infinite`` is one numerator row of it, and ``theta`` two.  The tests
+keep the product loops the kernel replaced as its reference.
 """
 from __future__ import annotations
 
@@ -18,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DivisionByZero, DomainError, NoConvergence, PoleHit
+from .errors import DivisionByZero, DomainError, NoConvergence, NonFinite, PoleHit
 
 # (a; q)_inf keeps the factors with |a q^j| >= _TAIL; each factor dropped is
 # within 1e-14 of 1, and together they move the product by < 1e-14 / (1 - |q|).
@@ -37,7 +46,7 @@ class QContext:
     infinite_product_cutoff: hard cap on factors of (a; q)_inf
     series_shell_cap:        hard cap on the shell degree |l| of a multiple sum
     rel_tol:                 relative threshold for "this term is negligible"
-    stall_window:            consecutive negligible shells needed to stop
+    stall_window:            consecutive negligible terms needed to stop
     """
 
     q: complex = 0.5 + 0.0j
@@ -57,6 +66,46 @@ class QContext:
             raise DomainError(f"rel_tol must be finite and positive, got {self.rel_tol}")
         if self.stall_window <= 0:
             raise DomainError("stall_window must be positive")
+
+
+def _stall_block(terms, total, run, ctx: QContext, where, start):
+    """The stall rule over a numpy block of terms, after a running total and
+    a run of negligible terms carried in: (n, total, size, run), the n terms
+    summed, the total after them, |term| of the last and the run it ends.
+    The sum stopped if run reaches ctx.stall_window; otherwise n =
+    len(terms).  Totals are added in order and sizes taken by np.hypot, so
+    both are bitwise _stall_step's (np.abs may round otherwise).  A
+    non-finite total raises NonFinite at where.format(start + its index).
+    """
+    import numpy as np
+
+    window = ctx.stall_window
+    with np.errstate(all="ignore"):
+        totals = terms.copy()
+        totals[0] += total
+        np.add.accumulate(totals, out=totals)
+        sizes = np.hypot(terms.real, terms.imag)
+        small = sizes <= ctx.rel_tol * np.maximum(1.0, np.hypot(totals.real, totals.imag))
+    # one byte per term, 1 where it is negligible, after the run carried in
+    flags = b"\x01" * run + small.tobytes()
+    hit = flags.find(b"\x01" * window)
+    end = hit + window - 1 - run if hit >= 0 else len(terms) - 1
+    total = complex(totals[end])
+    if not cmath.isfinite(total):
+        # a non-finite part stays so under addition: the first one raises
+        first = int(np.isfinite(totals).argmin())
+        raise NonFinite(f"non-finite partial sum at {where.format(start + first)}")
+    run = window if hit >= 0 else len(flags) - len(flags.rstrip(b"\x01"))
+    return end + 1, total, float(sizes[end]), run
+
+
+def _stall_step(term, total, run, ctx: QContext, where, n):
+    """_stall_block for the one term n: (total, size, run)."""
+    total += term
+    if not cmath.isfinite(total):
+        raise NonFinite(f"non-finite partial sum at {where.format(n)}")
+    size = abs(term)
+    return total, size, run + 1 if size <= ctx.rel_tol * max(1.0, abs(total)) else 0
 
 
 def qpoch_finite(a: complex, l: int, ctx: QContext) -> complex:

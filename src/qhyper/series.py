@@ -20,18 +20,12 @@ that make the terms are taken out of place: numpy rounds an in-place complex
 product of one-element arrays otherwise than the same product inside a
 longer array, so the term of a one-term block would differ.
 
-The stall rule also reads a block at a time.  Partial sums and shell
-magnitudes are computed for the whole block in numpy, the stop is the end of
-the first run of negligible shells long enough, and the run still open at
-the end of a block is carried into the next, so a sum stops exactly where a
-loop over single shells would.  The partial sums accumulate in order, so
-they are bitwise Python's; magnitudes are np.hypot of the real and imaginary
-parts because np.abs of a complex128 can differ from Python's abs(complex)
-in the last bit, and the magnitudes decide the stop.
+Shell sums stop by qcore's stall rule, applied a block of shells at a time
+(qcore._stall_block), so a sum stops exactly where a loop over single shells
+would.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -40,6 +34,9 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, NonFinite, TermEvaluationError
 from .qcore import QContext, principal_power, q_exponent, qpoch_ratio
+# private, so that per-layer tracing (which wraps the public names one module
+# imports from another) counts the stall rule as this layer's work
+from .qcore import _stall_block
 
 _TERMINATE_TOL = 1e-12
 # A block of shells holds at least this many terms; the target doubles from
@@ -244,17 +241,12 @@ def terminating_order(a, ctx: QContext, nmax=None):
 def sum_shells(term, M: int, ctx: QContext, shell_cap=None, exact=False) -> SeriesResult:
     """Sum term(l) over l in Z_{>=0}^M by shells of constant |l|.
 
-    term is a ShellSpec or a callable taking the tuple l.  Stops after
-    ctx.stall_window consecutive shells whose magnitude is below
-    ctx.rel_tol * max(1, |partial|), or at the cap.  With exact=True the cap
-    is a known terminating degree and the truncated sum is the exact value.
-
-    The rule reads a block of shell sums at a time (a spec's blocks, or one
-    shell per block for a callable), carrying the partial sum and the run of
-    negligible shells from block to block; magnitudes are np.hypot of the
-    parts, as Python's abs(complex) rounds them.  Only shells up to the stop
-    are checked, and no block is pulled past the cap, so shells ahead of the
-    stop never raise.
+    term is a ShellSpec or a callable taking the tuple l.  Each shell sum is
+    one term of qcore's stall rule, read a block at a time (a spec's blocks,
+    or one shell per block for a callable); the sum stops there or at the
+    cap.  With exact=True the cap is a known terminating degree and the
+    truncated sum is the exact value.  No block is pulled past the stop or
+    the cap, so shells ahead of them never raise.
     """
     if M < 1:
         raise DomainError(f"a shell sum needs M >= 1 summation indices, got M = {M}")
@@ -263,36 +255,12 @@ def sum_shells(term, M: int, ctx: QContext, shell_cap=None, exact=False) -> Seri
         blocks = _spec_shells(term, M, ctx.q, cap)
     else:
         blocks = _callable_shells(term, M)
-    partial = 0.0 + 0.0j
-    stall = 0
-    last_mag = 0.0
-    used = 0
-    converged = False
-    with np.errstate(all="ignore"):  # overflow shows as a non-finite partial
-        while used <= cap and not converged:
-            shells = next(blocks)
-            partials = shells.copy()
-            partials[0] += partial
-            np.add.accumulate(partials, out=partials)
-            mags = np.hypot(shells.real, shells.imag)
-            small = mags <= ctx.rel_tol * np.maximum(1.0, np.hypot(partials.real, partials.imag))
-            # one byte per shell, 1 where it is negligible, after the run
-            # carried in: the stop ends the first run of stall_window ones
-            flags = b"\x01" * stall + small.tobytes()
-            hit = flags.find(b"\x01" * ctx.stall_window)
-            converged = hit >= 0
-            end = hit + ctx.stall_window - 1 - stall if converged else len(shells) - 1
-            partial = complex(partials[end])
-            if not cmath.isfinite(partial):
-                # a non-finite part stays so under addition: the first one raises
-                first = int(np.isfinite(partials).argmin())
-                raise NonFinite(f"non-finite partial sum at shell {used + first}")
-            last_mag = float(mags[end])
-            stall = len(flags) - len(flags.rstrip(b"\x01"))
-            used += end + 1
-    if exact:
-        converged = True
-    return SeriesResult(partial, used, converged, last_mag)
+    partial, stall, last_mag, used = 0.0 + 0.0j, 0, 0.0, 0
+    while used <= cap and stall < ctx.stall_window:
+        n, partial, last_mag, stall = _stall_block(next(blocks), partial, stall, ctx, "shell {}",
+                                                  used)
+        used += n
+    return SeriesResult(partial, used, exact or stall >= ctx.stall_window, last_mag)
 
 
 def _callable_shells(term, M):

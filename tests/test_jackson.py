@@ -576,6 +576,22 @@ def test_lattice_sum_errors_match_old_loops():
                  0.5, inf_above, ctx)
 
 
+def test_overflowing_totals_raise():
+    # finite terms whose running total overflows: in the walk one point at a
+    # time (the n < 0 half here) and in the numpy tail (degene_integral)
+    with pytest.raises(NonFinite, match=r"jackson_bilateral \(n < 0\)"):
+        jackson_bilateral(1.0, lambda t: 1.7e308 / t if abs(t) >= 1 else 0.0, CTX)
+    data = (1, (0.4, 0.3), (0.2, 0.35), 0.9, CTX)
+    with pytest.raises(NonFinite, match="degene_integral"):
+        degene_integral(*data, tau_power=1.2e308)
+    # a little lower the sum is finite, but the tail's rounding budget
+    # overflows: no warning (an error under the suite's filterwarnings), and
+    # the value scales with tau_power
+    big = degene_integral(*data, tau_power=3e307)
+    one = degene_integral(*data, tau_power=1.0)
+    assert abs(big / 3e307 - one) <= 1e-15 * abs(one)
+
+
 def test_bilateral_negative_half_stalls_against_carried_total():
     # the n >= 0 half sums to about 2e3 and the n < 0 half to about 1; the
     # n < 0 half stops once its terms are negligible against the whole sum,
@@ -728,6 +744,17 @@ def test_sum_starting_on_a_zero(q):
     assert abs(val) > 1e-3
     assert abs(val - ref) <= 2e-14 * sum(map(abs, terms))
     assert spy.seen[:3] == _lattice(tau, ctx, 3)
+
+
+def test_sum_starting_on_stall_window_zeros():
+    # (q^-m t; q)_inf vanishes at t = q^n for n <= m: the first m + 1 >=
+    # stall_window points are exact zeros, which must not stall the sum at 0
+    # (mpmath at 30 digits: 5/78, 5/158 and 5/318)
+    for m, ref in ((2, 5 / 78), (3, 5 / 158), (4, 5 / 318)):
+        assert abs(jackson_0_to(1.0, _Ratio((CTX.q ** -m,), (0.2,), CTX), CTX) - ref) <= 1e-13
+    # from q / a_1, where a_3 q / a_1 = q^-2 (mpmath at 30 digits)
+    bp = BalancedParams(a=(0.45, 0.3, 3.6, 0.25), b=(0.2, 0.33, 0.75, 9.818181818181818))
+    assert abs(rp_integral(bp, 2, 1, CTX) - 0.5252374104837152) <= 1e-13
 
 
 def _long_lattices(q):

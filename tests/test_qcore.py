@@ -10,11 +10,13 @@ import random
 import struct
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhyper.errors import DivisionByZero, DomainError, NoConvergence, PoleHit
+from qhyper.errors import DivisionByZero, DomainError, NoConvergence, NonFinite, PoleHit
 from qhyper.qcore import QContext, elem_sym, qpoch_finite, qpoch_infinite, qpoch_ratio, theta
+from qhyper.qcore import _stall_block, _stall_step
 
 from old_loops import old_poch_inf_den, old_poch_inf_num, old_ratio
 
@@ -266,6 +268,29 @@ def _ratio_tolerance(args, ctx):
     return sum(_loop_tolerance(c, ctx) for c in args)
 
 
+def _mp_ratio(num, den, ctx):
+    """old_ratio's factors, each rounded as the old loops round it, taken in
+    mpmath column by column as the kernel takes them: the value, and the
+    largest modulus of the running product over the columns."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        cols = []
+        for k, c in enumerate(num + den):
+            aq, j = complex(c), 0
+            while abs(aq) >= 1e-14:
+                if j == len(cols):
+                    cols.append(mpmath.mpc(1))
+                cols[j] = cols[j] * (1.0 - aq) if k < len(num) else cols[j] / (1.0 - aq)
+                aq *= ctx.q
+                j += 1
+        val, peak = mpmath.mpc(1), 1.0
+        for col in cols:
+            val *= col
+            peak = max(peak, abs(val))
+        return complex(val), peak
+
+
 @pytest.mark.parametrize("q", RATIO_QS)
 def test_qpoch_ratio_matches_products(q):
     ctx = QContext(q=q, infinite_product_cutoff=120)
@@ -275,13 +300,24 @@ def test_qpoch_ratio_matches_products(q):
         num = _ratio_args(rng, ctx, rng.randrange(7))
         den = _ratio_args(rng, ctx, rng.randrange(7))
         ref, got = _outcome(old_ratio, num, den, ctx), _outcome(qpoch_ratio, num, den, ctx)
+        if (not isinstance(ref, type) and not cmath.isfinite(ref)
+                and all(cmath.isfinite(c) for c in num + den)):
+            # the old loops' products overflowed (|c| up to |q|^-79), where the
+            # kernel divides column by column: the same factors in mpmath.  A
+            # finite kernel value needs a finite reference, and the kernel
+            # returns a non-finite one only where its running product over the
+            # columns leaves the double range (as it does for a value past it)
+            ref, peak = _mp_ratio(num, den, ctx)
+            if cmath.isfinite(got):
+                assert cmath.isfinite(ref), (num, den, got, ref)
+                seen.add("overflow")
+            else:
+                assert peak > sys.float_info.max, (num, den, got, ref)
+                seen.add("past range")
+                continue
         if isinstance(ref, type) or isinstance(got, type):
             assert got is ref, (num, den, got, ref)
             seen.add(ref)
-        elif not cmath.isfinite(ref) and all(cmath.isfinite(c) for c in num + den):
-            # the old loops' products overflowed (|c| up to |q|^-79): no
-            # reference, where the kernel divides column by column
-            continue
         elif cmath.isnan(ref):
             assert cmath.isnan(got), (num, den, got)
             seen.add("nan")
@@ -291,7 +327,9 @@ def test_qpoch_ratio_matches_products(q):
         else:
             assert abs(got - ref) <= _ratio_tolerance(num + den, ctx) * abs(ref), (num, den, got, ref)
             seen.add("value")
-    assert seen == {NoConvergence, PoleHit, "nan", 0, "value"}
+    assert seen - {"overflow", "past range"} == {NoConvergence, PoleHit, "nan", 0, "value"}
+    # |q|^-79 = 1.7e12 at q = 0.7: no product overflows there
+    assert ("overflow" in seen) == ("past range" in seen) == (abs(q) != 0.7)
 
 
 def test_qpoch_ratio_empty_rows_and_order():
@@ -316,3 +354,92 @@ def test_qpoch_ratio_empty_rows_and_order():
         qpoch_ratio([0.3], [2.0 ** 15], ctx)
     assert cmath.isnan(qpoch_ratio([complex(math.inf, 0.0)], [0.3], ctx))
     assert qpoch_ratio([complex(math.nan, 0.0), 1.0], [0.3], ctx) == 0
+
+
+# ------------------------------------------------------------ the stall rule
+#
+# The block form (shell sums, the numpy tail of the lattice sums) and the
+# one-term form (the scalar head of the lattice sums) must stop at the same
+# term with the same total, or raise the same NonFinite.
+
+
+def _stall_terms(rng, count):
+    """Terms of every kind the rule tells apart: sizable, near the floor
+    rel_tol max(1, |total|) for totals of order 1, on the floor rel_tol for
+    |total| <= 1, exact zeros, subnormal, finite terms whose sum overflows,
+    NaN and inf."""
+    out = []
+    for _ in range(count):
+        u, phase = rng.random(), cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+        if u < 0.25:
+            out.append(10.0 ** rng.uniform(-3, 0.5) * phase)
+        elif u < 0.35:
+            out.append(QContext().rel_tol * rng.choice((1, -1, 1j, -1j)))
+        elif u < 0.6:
+            out.append(10.0 ** rng.uniform(-14, -12) * phase)
+        elif u < 0.8:
+            out.append(0j)
+        elif u < 0.85:
+            out.append(1e-310 * phase)
+        elif u < 0.93:
+            out.append(1.2e308 * rng.choice((1, -1, 1j)))
+        elif u < 0.96:
+            out.append(complex(math.nan, 0.0))
+        else:
+            out.append(complex(rng.choice((1, -1)) * math.inf, 0.0))
+    return out
+
+
+def _stall_outcome(fn):
+    try:
+        n, total, size, run = fn()
+    except NonFinite as exc:
+        return str(exc)
+    return n, _bits(total), size.hex(), run
+
+
+def _by_steps(terms, ctx):
+    total, run = 0j, 0
+    for n, term in enumerate(terms):
+        total, size, run = _stall_step(term, total, run, ctx, "term {}", n)
+        if run >= ctx.stall_window:
+            break
+    return n + 1, total, size, run
+
+
+def _by_blocks(terms, cuts, ctx, carried):
+    """_stall_block over terms cut into blocks at cuts; carried records a stop
+    in a block that a run carried into."""
+    total, run, used = 0j, 0, 0
+    for lo, hi in zip((0, *cuts), (*cuts, len(terms))):
+        before = run
+        block = np.array(terms[lo:hi], dtype=complex)
+        n, total, size, run = _stall_block(block, total, run, ctx, "term {}", lo)
+        used += n
+        if run >= ctx.stall_window:
+            if before:
+                carried.append(lo)
+            break
+    return used, total, size, run
+
+
+def test_stall_block_and_step_agree():
+    rng = random.Random(31)
+    seen = set()
+    for window in (1, 2, 3, 4):
+        ctx = QContext(stall_window=window)
+        for _ in range(400):
+            terms = _stall_terms(rng, rng.randint(1, 40))
+            cuts = tuple(sorted(rng.sample(range(1, len(terms)), rng.randint(0, len(terms) - 1))))
+            carried = []
+            ref = _stall_outcome(lambda: _by_steps(terms, ctx))
+            assert _stall_outcome(lambda: _by_blocks(terms, cuts, ctx, carried)) == ref, (
+                window, terms, cuts)
+            if isinstance(ref, str):
+                # an overflow when every term so far is finite
+                k = int(ref.rsplit(" ", 1)[1])
+                seen.add("overflow" if all(map(cmath.isfinite, terms[:k + 1])) else "NonFinite")
+            else:
+                seen.add("stop" if ref[3] >= window else "end")
+                seen.update(["carried"] if carried else [])
+    assert seen == {"NonFinite", "overflow", "stop", "end", "carried"}
