@@ -25,9 +25,7 @@ Tolerance tiers: 1e-12 terminating sums, 1e-8 convergent series/integrals,
 degenerations, which are checked at a single finite lattice point).
 """
 
-import bisect
 import cmath
-import functools
 import itertools
 import math
 import random
@@ -42,6 +40,7 @@ except ImportError:  # renamed _sha2 in Python 3.12
 
 from .errors import NonFinite, QHyperError, SamplerExhausted
 from .qcore import QContext, principal_power, q_exponent, qpoch_finite, qpoch_infinite, qpoch_ratio
+from .qcore import _lattice_index  # private: per-layer tracing counts it as sampler work
 from .jackson import (
     BalancedParams,
     JPParams,
@@ -102,38 +101,11 @@ def _unit(rng, lo=0.3, hi=0.85):
     return cmath.rect(rng.uniform(lo, hi), rng.uniform(0, 2 * math.pi))
 
 
-@functools.lru_cache(maxsize=16, typed=True)
-def _lattice_powers(q, lo, hi):
-    """q^m for m in [lo, hi], multiplied out from q^lo in order, sorted by
-    modulus, and their moduli."""
-    powers, qm = [], q ** lo
-    for _ in range(lo, hi + 1):
-        powers.append(qm)
-        qm *= q
-    powers.sort(key=abs)
-    return powers, [abs(p) for p in powers]
-
-
 def _clear(val, ctx, lo=-8, hi=12, margin=0.035):
-    """True when val stays away from every q^{-m}, m in [lo, hi]: no
-    |val q^m - 1| < margin.
-
-    Division by (val; q)_l or (val; q)_inf is then well conditioned, and the
-    clearance survives the q-shifts a difference operator applies.  Only the
-    q^m with |val| |q^m| within 2 margin of 1 can come within margin of it,
-    with room to spare for rounding, so only those are tested.
-    """
-    v = complex(val)
-    powers, sizes = _lattice_powers(ctx.q, lo, hi)
-    size = abs(v)
-    first, last = 0, len(powers)
-    if size > 0:  # not 0 or NaN
-        first = bisect.bisect_left(sizes, (1.0 - 2 * margin) / size)
-        last = bisect.bisect_right(sizes, (1.0 + 2 * margin) / size)
-    for qm in powers[first:last]:
-        if abs(v * qm - 1.0) < margin:
-            return False
-    return True
+    """True when qcore's lattice test with tolerance margin finds val at no
+    q^{-m}, m in [lo, hi]: division by (val; q)_l or (val; q)_inf is then well
+    conditioned, and the clearance survives a difference operator's q-shifts."""
+    return _lattice_index(val, ctx, lo, hi, margin) is None
 
 
 def _all_clear(vals, ctx, **kw):

@@ -72,7 +72,7 @@ from .qcore import QContext, principal_power, q_exponent
 # private names: the products and the stall rule are part of this layer's
 # per-point work, and per-layer tracing wraps only the public names one module
 # imports from another
-from .qcore import _TAIL, _ratio, _stall_block, _stall_step
+from .qcore import _TAIL, _lattice_index, _ratio, _stall_block, _stall_step
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,8 @@ class BalancedParams:
         return len(self.a) - 3
 
     def check(self, ctx: QContext, tol: float = 1e-10):
+        """DomainError unless len(a) == len(b) >= 4, no a_k is 0, the balance holds
+        within tol, and qcore's lattice test (tol 1e-6) finds no a_i/a_j = q^k, 0 <= k < 64."""
         if len(self.a) != len(self.b):
             raise DomainError("BalancedParams needs len(a) == len(b)")
         if self.M < 1:
@@ -108,19 +110,10 @@ class BalancedParams:
                 f"balance violated: |prod(a) - q^2 prod(b)| / scale = "
                 f"{abs(pa - pb) / max(abs(pa), abs(pb))}"
             )
-        n = len(self.a)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                r = self.a[i] / self.a[j]
-                qm = 1.0 + 0.0j
-                for _ in range(64):
-                    if abs(r - qm) <= 1e-6 * abs(qm):
-                        raise DomainError(f"a_{i + 1}/a_{j + 1} lies on the q-lattice")
-                    qm *= ctx.q
-                    if abs(qm) < 1e-12 * abs(r):
-                        break
+        for i, ai in enumerate(self.a):
+            for j, aj in enumerate(self.a):
+                if i != j and _lattice_index(ai / aj, ctx, -63, 0, 1e-6) is not None:
+                    raise DomainError(f"a_{i + 1}/a_{j + 1} lies on the q-lattice")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,10 @@ single product is ever formed; a factor within 1e-12 of zero reads as an
 exact zero in a numerator and as a pole (PoleHit) in a denominator.
 ``qpoch_infinite`` is one numerator row of it, and ``theta`` two.  The tests
 keep the product loops the kernel replaced as its reference.
+
+The q-lattice test, |x q^m - 1| < tol for an integer m in a range, is
+``_lattice_index``; the samplers' guards, the order of a terminating series
+and the genericity of balanced data all call it.
 """
 from __future__ import annotations
 
@@ -106,6 +110,22 @@ def _stall_step(term, total, run, ctx: QContext, where, n):
         raise NonFinite(f"non-finite partial sum at {where.format(n)}")
     size = abs(term)
     return total, size, run + 1 if size <= ctx.rel_tol * max(1.0, abs(total)) else 0
+
+
+def _lattice_index(x, ctx: QContext, lo, hi, tol):
+    """The smallest m in [lo, hi] with |x q^m - 1| < tol, or None (also for x
+    0, NaN or inf).  Such an m has |log|x| - m log(1/|q|)| <= 2 tol for tol
+    <= 1/4, so only the m in that window are tested."""
+    size = abs(x)
+    if not 0.0 < size < math.inf:
+        return None
+    q = ctx.q
+    rate, loga = -math.log(abs(q)), math.log(size)
+    first, last = math.ceil((loga - 2 * tol) / rate), math.floor((loga + 2 * tol) / rate)
+    for m in range(first if first > lo else lo, (last if last < hi else hi) + 1):
+        if abs(x * q ** m - 1.0) < tol:
+            return m
+    return None
 
 
 def qpoch_finite(a: complex, l: int, ctx: QContext) -> complex:
@@ -208,7 +228,18 @@ def _ratio(coef, t, split, ctx: QContext) -> complex:
             if n < width:
                 grid[k, n:] = 1.0
         prod = np.multiply.reduce
-        val = complex(prod(prod(grid[:split]) / prod(grid[split:])))
+        cols = prod(grid[:split]) / prod(grid[split:])
+        val = complex(prod(cols))
+        if not (nan or cmath.isfinite(val)):
+            # the running product may leave the double range on its way to a
+            # value in it: carry it as a mantissa and a binary exponent
+            mant, exp = 1.0 + 0.0j, 0
+            for c in cols.tolist():
+                mant *= c
+                k = math.frexp(abs(mant))[1]
+                mant, exp = complex(math.ldexp(mant.real, -k), math.ldexp(mant.imag, -k)), exp + k
+            big = complex(np.ldexp(mant.real, exp), np.ldexp(mant.imag, exp))
+            val = big if big and cmath.isfinite(big) else val
     return complex(math.nan, math.nan) if nan else val
 
 

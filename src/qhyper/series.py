@@ -35,10 +35,9 @@ import numpy as np
 from .errors import DomainError, NoConvergence, NonFinite, TermEvaluationError
 from .qcore import QContext, principal_power, q_exponent, qpoch_ratio
 # private, so that per-layer tracing (which wraps the public names one module
-# imports from another) counts the stall rule as this layer's work
-from .qcore import _stall_block
+# imports from another) counts the stall rule and lattice test as this layer's work
+from .qcore import _lattice_index, _stall_block
 
-_TERMINATE_TOL = 1e-12
 # A block of shells holds at least this many terms; the target doubles from
 # block to block up to the maximum, so short sums take one block and deep sums
 # run in large blocks.
@@ -220,22 +219,9 @@ def _compositions(M, s):
 
 
 def terminating_order(a, ctx: QContext, nmax=None):
-    """Smallest n with a ~= q^{-n} (relative tolerance 1e-12), or None."""
-    if a == 0:
-        return None
-    if nmax is None:
-        nmax = ctx.series_shell_cap
-    qn = 1.0 + 0.0j
-    mag = abs(complex(a))
-    for n in range(nmax + 1):
-        # |q^-n| grows monotonically; once it clears |a| no later n can match
-        # (and q^-n would eventually overflow to inf, matching anything).
-        if abs(qn) * (1.0 - _TERMINATE_TOL) > mag:
-            return None
-        if abs(a - qn) <= _TERMINATE_TOL * abs(qn):
-            return n
-        qn /= ctx.q
-    return None
+    """Smallest n in [0, nmax] (default ctx.series_shell_cap) with a = q^{-n}
+    by qcore's lattice test with tolerance 1e-12, or None."""
+    return _lattice_index(a, ctx, 0, ctx.series_shell_cap if nmax is None else nmax, 1e-12)
 
 
 def sum_shells(term, M: int, ctx: QContext, shell_cap=None, exact=False) -> SeriesResult:

@@ -263,7 +263,7 @@ def _loop_clear(val, ctx, lo=-8, hi=12, margin=0.035):
     return True
 
 
-@pytest.mark.parametrize("q", (0.5, 0.9, -0.5, 0.6 * cmath.exp(0.5j)))
+@pytest.mark.parametrize("q", (0.5, 0.9, -0.5, 0.6 * cmath.exp(0.5j), 0.99, 0.95j))
 def test_clear_matches_loop(q):
     # values at |v q^m - 1| within 1e-9 relative of the margin, on either
     # side, and random ones; the windows and margins the samplers use

@@ -141,6 +141,57 @@ def test_balanced_check():
         lat.check(CTX)
 
 
+def _loop_genericity(bp, ctx):
+    """BalancedParams.check's genericity test one power at a time,
+    |a_i/a_j - q^k| <= 1e-6 |q^k| for k < 64: its reference."""
+    n = len(bp.a)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            r = bp.a[i] / bp.a[j]
+            qm = 1.0 + 0.0j
+            for _ in range(64):
+                if abs(r - qm) <= 1e-6 * abs(qm):
+                    raise DomainError(f"a_{i + 1}/a_{j + 1} lies on the q-lattice")
+                qm *= ctx.q
+                if abs(qm) < 1e-12 * abs(r):
+                    break
+
+
+def _check_outcome(check, bp, ctx):
+    try:
+        check(bp, ctx)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("q", (0.5, 0.9, -0.5, 0.6 * cmath.exp(0.5j)))
+def test_balanced_check_matches_loop(q):
+    # balanced data with a_i/a_j at |a_i/a_j q^-k - 1| = 1e-6 +- 1e-11 for
+    # every k in [-64, 64] (one past each end both ways; a pair and its
+    # reverse differ by |delta|^2 = 1e-12 there), and with a NaN or an inf
+    # entry (ratios NaN, inf and 0): the same DomainError naming the same
+    # pair, or none
+    ctx = QContext(q=q)
+    rng = random.Random(43)
+    cases = [[0.4, complex(math.nan, 0.0), 0.5, 0.6], [0.4, complex(math.inf, 0.0), 0.5, 0.6]]
+    for k in range(-64, 65):
+        for edge in (1e-6 - 1e-11, 1e-6 + 1e-11):
+            a = [_rand_unit(rng) for _ in range(rng.randrange(4, 7))]
+            i, j = rng.sample(range(len(a)), 2)
+            a[i] = a[j] * q ** k * (1.0 + cmath.rect(edge, rng.uniform(0.0, 2 * math.pi)))
+            cases.append(a)
+    outcomes = []
+    for a in cases:
+        b = [_rand_unit(rng) for _ in a[1:]]
+        bp = BalancedParams(a=tuple(a), b=(*b, math.prod(a) / (q * q * math.prod(b))))
+        outcomes.append(_check_outcome(BalancedParams.check, bp, ctx))
+        assert outcomes[-1] == _check_outcome(_loop_genericity, bp, ctx), a
+    assert None in outcomes and len(set(outcomes)) > 10
+
+
 def test_rp_integrand_zero_snap():
     rng = random.Random(2)
     bp = sample_balanced(rng, 1, CTX)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from qhyper.errors import DivisionByZero, DomainError, NoConvergence, NonFinite, PoleHit
 from qhyper.qcore import QContext, elem_sym, qpoch_finite, qpoch_infinite, qpoch_ratio, theta
-from qhyper.qcore import _stall_block, _stall_step
+from qhyper.qcore import _lattice_index, _stall_block, _stall_step
 
 from old_loops import old_poch_inf_den, old_poch_inf_num, old_ratio
 
@@ -111,7 +111,9 @@ def _loop_tolerance(a, ctx):
 @pytest.mark.parametrize("q", KERNEL_QS)
 def test_qpoch_infinite_matches_old_loops(q):
     # the same outcome (a value, an exact 0, NaN or the same error) as the
-    # numerator loop, and values to the rounding of the two
+    # numerator loop, and values to the rounding of the two.  Where the loop's
+    # product overflows for a finite argument, the kernel must match the same
+    # factors taken in mpmath, and read NaN only for a value past the range
     args = _kernel_args(random.Random(KERNEL_QS.index(q)), q, 1500)
     for cutoff in (300, 60):
         ctx = QContext(q=q, infinite_product_cutoff=cutoff)
@@ -119,10 +121,23 @@ def test_qpoch_infinite_matches_old_loops(q):
             new, ref = _outcome(qpoch_infinite, a, ctx), _outcome(old_poch_inf_num, a, ctx)
             if isinstance(ref, type) or isinstance(new, type):
                 assert new is ref, (cutoff, a, new, ref)
+            elif cmath.isnan(ref) and cmath.isfinite(a):
+                ref = _mp_ratio([a], [], ctx)[0]
+                if cmath.isfinite(ref):
+                    assert abs(new - ref) <= _loop_tolerance(a, ctx) * abs(ref), (cutoff, a, new, ref)
+                else:
+                    assert cmath.isnan(new), (cutoff, a, new, ref)
             elif cmath.isnan(ref) or ref == 0:
                 assert _bits(new) == _bits(ref), (cutoff, a, new, ref)
             else:
                 assert abs(new - ref) <= _loop_tolerance(a, ctx) * abs(ref), (cutoff, a, new, ref)
+
+
+def test_product_that_overflows_on_its_way_to_a_finite_value():
+    # the running product over the factors peaks at 1.1e311 before the factor
+    # 1 - a q^45 (about 1.6e-12) brings it back; mpmath at 30 digits
+    a = 2.0 ** 45 * (1 + 1.6e-12)
+    assert abs(qpoch_infinite(a, CTX) / 4.91290727669283120496737107524e298 - 1) < 1e-13
 
 
 def test_vanishing_factor_reads_as_exact_zero():
@@ -354,6 +369,25 @@ def test_qpoch_ratio_empty_rows_and_order():
         qpoch_ratio([0.3], [2.0 ** 15], ctx)
     assert cmath.isnan(qpoch_ratio([complex(math.inf, 0.0)], [0.3], ctx))
     assert qpoch_ratio([complex(math.nan, 0.0), 1.0], [0.3], ctx) == 0
+
+
+# ------------------------------------------------------- the q-lattice test
+
+
+@pytest.mark.parametrize("q", (0.5, -0.5, 0.6 * cmath.exp(0.5j), 0.99, 0.95j))
+def test_lattice_index_is_the_first_hit_of_a_scan(q):
+    # values within 1e-9 relative of each tolerance at every m of the range
+    # and one past each end; at q = 0.99 and tol 0.25 the window holds 100 m
+    ctx = QContext(q=q)
+    rng = random.Random(47)
+    for lo, hi, tol in ((0, 400, 1e-12), (-63, 0, 1e-6), (-8, 12, 0.08), (-20, 30, 0.25)):
+        values = [0.0, complex(math.nan, 0.0), complex(math.inf, 0.0), 1e-300, 1e300]
+        for m in range(lo - 1, hi + 2):
+            edge = tol * (1.0 + rng.choice((-1e-9, 1e-9)))
+            values.append(q ** -m * (1.0 + cmath.rect(edge, rng.uniform(0.0, 2 * math.pi))))
+        for x in values:
+            scan = next((m for m in range(lo, hi + 1) if abs(x * q ** m - 1.0) < tol), None)
+            assert _lattice_index(x, ctx, lo, hi, tol) == scan, (x, lo, hi, tol)
 
 
 # ------------------------------------------------------------ the stall rule

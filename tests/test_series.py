@@ -326,6 +326,43 @@ def test_terminating_order():
     assert terminating_order(ctx.q ** -3, ctx) == 3
 
 
+def _loop_terminating_order(a, ctx, nmax=None):
+    """The order one n at a time, |a - q^-n| <= 1e-12 |q^-n| with q^-n
+    divided out in order: the reference of terminating_order."""
+    if a == 0:
+        return None
+    if nmax is None:
+        nmax = ctx.series_shell_cap
+    qn = 1.0 + 0.0j
+    mag = abs(complex(a))
+    for n in range(nmax + 1):
+        if abs(qn) * (1.0 - 1e-12) > mag:
+            return None
+        if abs(a - qn) <= 1e-12 * abs(qn):
+            return n
+        qn /= ctx.q
+    return None
+
+
+@pytest.mark.parametrize("q", (0.5, 0.9, -0.5, 0.6 * cmath.exp(0.5j)))
+def test_terminating_order_matches_loop(q):
+    # values at |a q^n - 1| = 1e-12 +- 1e-13 for every n of the range and one
+    # past each end (1e-9 of the tolerance is below the rounding of a q^n),
+    # 0, NaN, inf and random values
+    ctx = QContext(q=q)
+    rng = random.Random(37)
+    for nmax in (None, 40):
+        top = ctx.series_shell_cap if nmax is None else nmax
+        values = [0.0, complex(math.nan, 0.0), complex(math.inf, 0.0)]
+        for n in range(-1, top + 2):
+            for edge in (1e-12 - 1e-13, 1e-12 + 1e-13):
+                values.append(q ** -n * (1.0 + cmath.rect(edge, rng.uniform(0.0, 2 * math.pi))))
+            values.append(cmath.rect(10.0 ** rng.uniform(-3, 3), rng.uniform(0.0, 2 * math.pi)))
+        orders = [terminating_order(v, ctx, nmax) for v in values]
+        assert orders == [_loop_terminating_order(v, ctx, nmax) for v in values]
+        assert set(orders) == {None, *range(top + 1)}
+
+
 # --------------------------------------------------------------------- rphis
 
 
