@@ -7,9 +7,25 @@ always carry the entry 'q'; a lattice offset n on parameter v means v q^n, and
 q itself is never shifted.  A coefficient is a callable of the point or a
 constant.
 
+An operator may also carry numeric constants, pairs (name, value) whose names
+start with '_' (no lattice parameter does).  `op_apply` and `residual` add
+them to the point once per evaluation, so a coefficient reads them like
+parameters, and `op_add`, `op_scale` and `op_multiply` carry them into the
+result.  An operand that binds a name already bound to another value keeps
+its own constants, frozen into its coefficients.  A parameter or constant
+missing from the point raises DomainError.
+
 LatticeFunction pairs a base point with an evaluator over integer offsets, so
 expensive function values (Jackson integrals, multiple series) can be memoized
 per offset vector while operators probe them.
+
+Every builder is a function of its lattice shape only: M, plus kind, k and l
+for a three-term relation.  The symbolic work of a shape (its products of
+factors, sums and groupings) runs once per process, on first use, and is
+cached for up to 256 shapes per builder; the builder then binds the
+constants of its call (A, B, e_k(a), e_k(b), q^lambda, ...) to the cached
+terms.  A shape captures no constant, so every call of a builder returns the
+same terms object for one shape.
 
 The builders share a few pieces:
 
@@ -33,6 +49,7 @@ The builders share a few pieces:
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,6 +91,7 @@ class ShiftTerm:
 class ShiftOperator:
     terms: tuple
     name: str = ""
+    consts: tuple = ()  # ((name, value), ...) added to every point it is evaluated at
 
 
 def _shifts_tuple(shifts: dict) -> tuple:
@@ -85,9 +103,23 @@ def _no_q_shift(offsets: dict) -> None:
         raise DomainError("q itself is never shifted")
 
 
+def _missing(exc: KeyError, where: str) -> DomainError:
+    return DomainError(f"{where}: the point has no parameter {exc.args[0]!r}")
+
+
 def point_at(base: dict, offsets: dict) -> dict:
+    return _point(base, offsets, "point_at")
+
+
+def _point(base: dict, offsets: dict, where: str, consts: tuple = ()) -> dict:
+    """base shifted by offsets, with the constants added."""
     _no_q_shift(offsets)
-    return _shift_point(base, _shifts_tuple(offsets))
+    try:
+        pt = _shift_point(base, _shifts_tuple(offsets))
+    except KeyError as exc:
+        raise _missing(exc, where) from None
+    pt.update(consts)
+    return pt
 
 
 def _shift_point(pt: dict, shifts: tuple) -> dict:
@@ -110,6 +142,35 @@ def _coeff_fn(c) -> callable:
     return c if callable(c) else (lambda pt, _c=complex(c): _c)
 
 
+def _bind(shape: ShiftOperator, consts: dict) -> ShiftOperator:
+    """A cached shape with the constants of one builder call."""
+    return ShiftOperator(terms=shape.terms, name=shape.name, consts=tuple(consts.items()))
+
+
+def _frozen(op: ShiftOperator) -> ShiftOperator:
+    """op with its constants read inside its coefficients instead of from the point."""
+    own = dict(op.consts)
+    terms = tuple(
+        ShiftTerm(coeff=lambda pt, _f=t.coeff: _f({**pt, **own}), shifts=t.shifts)
+        for t in op.terms
+    )
+    return ShiftOperator(terms=terms, name=op.name)
+
+
+def _joined(ops) -> tuple:
+    """(operands, constants) of a composition: the union of the operands'
+    constants, where an operand that binds a name already bound to another
+    value is frozen first."""
+    consts = {}
+    out = []
+    for op in ops:
+        if any(consts.get(k, v) is not v for k, v in op.consts):
+            op = _frozen(op)
+        consts.update(op.consts)
+        out.append(op)
+    return out, tuple(consts.items())
+
+
 def const_op(c, name="") -> ShiftOperator:
     return shift_op({}, c, name)
 
@@ -121,10 +182,11 @@ def shift_op(shifts: dict, coeff=1.0, name="") -> ShiftOperator:
 
 
 def op_add(*ops, name="") -> ShiftOperator:
+    ops, consts = _joined(ops)
     terms = []
     for op in ops:
         terms.extend(op.terms)
-    return _normalize(ShiftOperator(terms=tuple(terms), name=name))
+    return _normalize(ShiftOperator(terms=tuple(terms), name=name, consts=consts))
 
 
 def op_scale(op: ShiftOperator, c, name="") -> ShiftOperator:
@@ -133,7 +195,7 @@ def op_scale(op: ShiftOperator, c, name="") -> ShiftOperator:
         ShiftTerm(coeff=lambda pt, _f=t.coeff: c(pt) * _f(pt), shifts=t.shifts)
         for t in op.terms
     )
-    return ShiftOperator(terms=terms, name=name or op.name)
+    return ShiftOperator(terms=terms, name=name or op.name, consts=op.consts)
 
 
 def op_sub(op1: ShiftOperator, op2: ShiftOperator, name="") -> ShiftOperator:
@@ -141,10 +203,12 @@ def op_sub(op1: ShiftOperator, op2: ShiftOperator, name="") -> ShiftOperator:
 
 
 def op_multiply(op1: ShiftOperator, op2: ShiftOperator, name="") -> ShiftOperator:
-    """Composition op1 after op2... careful: (c1 S1)(c2 S2) = c1 (c2 o S1) S1 S2,
-    i.e. op1 acts first on coefficients: this is the product op1 * op2 in the
-    usual operator order (apply op2's shifts after op1's when reading left to
-    right in formulas)."""
+    """The product op1 op2, which applies op2 first: every pair of terms gives
+
+        (c1 T^{s1})(c2 T^{s2}) = c1 (c2 o T^{s1}) T^{s1+s2},
+
+    where c2 o T^{s1} is c2 read at the point shifted by s1."""
+    (op1, op2), consts = _joined((op1, op2))
     terms = []
     for t1 in op1.terms:
         for t2 in op2.terms:
@@ -153,14 +217,14 @@ def op_multiply(op1: ShiftOperator, op2: ShiftOperator, name="") -> ShiftOperato
 
             merged = _merge(dict(t1.shifts), t2.shifts)
             terms.append(ShiftTerm(coeff=coeff, shifts=_shifts_tuple(merged)))
-    return _normalize(ShiftOperator(terms=tuple(terms), name=name))
+    return _normalize(ShiftOperator(terms=tuple(terms), name=name, consts=consts))
 
 
 def op_product(ops, name="") -> ShiftOperator:
     out = const_op(1.0)
     for op in ops:
         out = op_multiply(out, op)
-    return ShiftOperator(terms=out.terms, name=name)
+    return ShiftOperator(terms=out.terms, name=name, consts=out.consts)
 
 
 def _normalize(op: ShiftOperator) -> ShiftOperator:
@@ -180,14 +244,19 @@ def _normalize(op: ShiftOperator) -> ShiftOperator:
             terms.append(
                 ShiftTerm(coeff=lambda pt, _fns=tuple(fns): sum(f(pt) for f in _fns), shifts=s)
             )
-    return ShiftOperator(terms=tuple(terms), name=op.name)
+    return ShiftOperator(terms=tuple(terms), name=op.name, consts=op.consts)
 
 
 def op_apply(op: ShiftOperator, f: LatticeFunction, offset: dict) -> complex:
-    pt = point_at(f.base, offset)
+    where = op.name or "operator"
+    pt = _point(f.base, offset, where, op.consts)
     total = 0.0 + 0.0j
     for t in op.terms:
-        total += t.coeff(pt) * f.eval(_merge(offset, t.shifts))
+        try:
+            c = t.coeff(pt)
+        except KeyError as exc:
+            raise _missing(exc, where) from None
+        total += c * f.eval(_merge(offset, t.shifts))
     return total
 
 
@@ -198,17 +267,21 @@ def residual(op: ShiftOperator, f: LatticeFunction, offsets) -> tuple:
     Raises NonFinite when a function value or a coefficient is inf or nan:
     neither the raw residual nor its scale would show it.
     """
+    where = op.name or "operator"
     raw = 0.0
     scale = 0.0
     for off in offsets:
-        pt = point_at(f.base, off)
+        pt = _point(f.base, off, where, op.consts)
         val = 0.0 + 0.0j
         sc = 0.0
         for t in op.terms:
             fv = f.eval(_merge(off, t.shifts))
-            c = t.coeff(pt)
+            try:
+                c = t.coeff(pt)
+            except KeyError as exc:
+                raise _missing(exc, where) from None
             if not (cmath.isfinite(fv) and cmath.isfinite(c)):
-                raise NonFinite(f"{op.name or 'operator'}: f = {fv}, coefficient {c}")
+                raise NonFinite(f"{where}: f = {fv}, coefficient {c}")
             val += c * fv
             sc += abs(c) * abs(fv)
         raw = max(raw, abs(val))
@@ -223,6 +296,9 @@ def residual(op: ShiftOperator, f: LatticeFunction, offsets) -> tuple:
 # --------------------------------------------------------------------------
 
 _AB = {"a1": 1, "b1": 1}  # T = T_{a_1} T_{b_1} of the hat operators
+# each builder caches up to 256 shapes; the catalog and the tests use under
+# 180 three-term shapes (M = 1..3) and a few of every other builder
+_shape = functools.lru_cache(maxsize=256)
 
 
 def _names(prefix, n):
@@ -245,6 +321,11 @@ def _q_factors(T: dict, count: int) -> ShiftOperator:
 def _ab_chain(count: int) -> ShiftOperator:
     """prod_{i<count} (1 - (a_1 q^i / b_1) T)."""
     return _factors(_AB, count, 1.0, lambda pt, i: -pt["a1"] * pt["q"] ** i / pt["b1"])
+
+
+def _x_chain(count: int) -> ShiftOperator:
+    """prod_{i<count} (B - A q^i T_x), for the constants _A and _B."""
+    return _factors({"x": 1}, count, _at("_B"), lambda pt, i: -pt["_A"] * pt["q"] ** i)
 
 
 def _power(name: str, n: int) -> ShiftOperator:
@@ -296,6 +377,24 @@ def _ab_lengths(M, a, b, builder):
         raise DomainError(f"{builder} needs M+2 entries in a and b")
 
 
+def _x_consts(A, B, a, b, ks) -> dict:
+    """_A, _B and, for k in ks, _ea{k} = e_k(a) and _eb{k} = e_k(b)."""
+    consts = {"_A": complex(A), "_B": complex(B)}
+    for k in ks:
+        consts[f"_ea{k}"] = complex(elem_sym(k, a))
+        consts[f"_eb{k}"] = elem_sym(k, b)
+    return consts
+
+
+@_shape
+def _em_shape(M: int) -> ShiftOperator:
+    def bracket(k):
+        return _at(f"_ea{k}"), lambda pt, _e=f"_eb{k}": -pt["q"] * pt[_e]
+
+    return _term_sum("x", {"x": 1}, M + 2, M + 1, range(1, M + 2), bracket, _x_chain,
+                     head=True, tail=_at("_tail"), name=f"E_{M}")
+
+
 def build_EM(M: int, A, B, a, b) -> ShiftOperator:
     """The order-(M+2) factor E_M of the Jordan-Pochhammer-type equation in x.
 
@@ -303,16 +402,18 @@ def build_EM(M: int, A, B, a, b) -> ShiftOperator:
     constants; the lattice variable is named 'x'.
     """
     _ab_lengths(M, a, b, "build_EM")
-    A, B = complex(A), complex(B)
+    consts = _x_consts(A, B, a, b, range(1, M + 2))
+    consts["_tail"] = complex(math.prod(a) / consts["_B"])
+    return _bind(_em_shape(M), consts)
 
+
+@_shape
+def _jp_shape(M: int) -> ShiftOperator:
     def bracket(k):
-        return elem_sym(k, a), lambda pt, _e=elem_sym(k, b): -pt["q"] * _e
+        return _at(f"_ea{k}"), lambda pt, _e=f"_eb{k}": -pt["_qalpha"] * pt[_e]
 
-    def chain(count):  # prod_{i<count} (B - A q^i T)
-        return _factors({"x": 1}, count, B, lambda pt, i: -A * pt["q"] ** i)
-
-    return _term_sum("x", {"x": 1}, M + 2, M + 1, range(1, M + 2), bracket, chain,
-                     head=True, tail=math.prod(a) / B, name=f"E_{M}")
+    return _term_sum("x", {"x": 1}, M + 2, M + 2, range(M + 3), bracket, _x_chain,
+                     lag=0, name=f"JP_{M}")
 
 
 def build_JP_general(M: int, qalpha, A, B, a, b) -> ShiftOperator:
@@ -324,23 +425,13 @@ def build_JP_general(M: int, qalpha, A, B, a, b) -> ShiftOperator:
     factors as (B - A q^{-1} T)(1 - q^{-1-M} T) E_M.
     """
     _ab_lengths(M, a, b, "build_JP_general")
-    A, B, qalpha = complex(A), complex(B), complex(qalpha)
-
-    def bracket(k):
-        return elem_sym(k, a), -qalpha * elem_sym(k, b)
-
-    def chain(count):
-        return _factors({"x": 1}, count, B, lambda pt, i: -A * pt["q"] ** i)
-
-    return _term_sum("x", {"x": 1}, M + 2, M + 2, range(M + 3), bracket, chain,
-                     lag=0, name=f"JP_{M}")
+    consts = _x_consts(A, B, a, b, range(M + 3))
+    consts["_qalpha"] = complex(qalpha)
+    return _bind(_jp_shape(M), consts)
 
 
-def build_EM_hat(bp: BalancedParams) -> ShiftOperator:
-    """E_M rewritten on the parameter lattice a_1..a_{M+3}, b_1..b_{M+3},
-    where T = T_{a_1} T_{b_1} and every coefficient reads the (possibly
-    shifted) parameter point."""
-    M = bp.M
+@_shape
+def _em_hat_shape(M: int) -> ShiftOperator:
     an, bn = _names("a", M + 3)[1:], _names("b", M + 3)[1:]
 
     def bracket(k):
@@ -351,13 +442,16 @@ def build_EM_hat(bp: BalancedParams) -> ShiftOperator:
                      name=f"Ehat_{M}")
 
 
-def build_three_term(kind: int, k: int, l, bp: BalancedParams) -> ShiftOperator:
-    """Three-term contiguity relations on the a/b lattice, kinds 1..6.
+def build_EM_hat(bp: BalancedParams) -> ShiftOperator:
+    """E_M rewritten on the parameter lattice a_1..a_{M+3}, b_1..b_{M+3},
+    where T = T_{a_1} T_{b_1} and every coefficient reads the (possibly
+    shifted) parameter point."""
+    return _em_hat_shape(bp.M)
 
-    k (and l where applicable) are 1-based parameter indices in 2..M+3; kinds
-    2 and 4 involve only k, and l is ignored there.
-    """
-    hi = bp.M + 3
+
+@_shape
+def _three_term_shape(kind: int, k: int, l, M: int) -> ShiftOperator:
+    hi = M + 3
     if not 2 <= k <= hi:
         raise IndexError(f"k must lie in 2..{hi}")
     if kind in (1, 3, 5, 6):
@@ -388,25 +482,40 @@ def build_three_term(kind: int, k: int, l, bp: BalancedParams) -> ShiftOperator:
     raise IndexError(f"unknown three-term kind {kind}")
 
 
+def build_three_term(kind: int, k: int, l, bp: BalancedParams) -> ShiftOperator:
+    """Three-term contiguity relations on the a/b lattice, kinds 1..6.
+
+    k (and l where applicable) are 1-based parameter indices in 2..M+3; kinds
+    2 and 4 involve only k, and l is ignored there.
+    """
+    return _three_term_shape(kind, k, l if kind in (1, 3, 5, 6) else None, bp.M)
+
+
 def _scaling(n: int, coeff, name: str) -> ShiftOperator:
     """coeff T_{a_1}...T_{a_n} T_{b_1}...T_{b_n} - 1."""
     shifts = {v: 1 for v in _names("a", n) + _names("b", n)}
     return op_add(shift_op(shifts, coeff=coeff), const_op(-1.0), name=name)
 
 
+@_shape
+def _scaling_shape(M: int) -> ShiftOperator:
+    return _scaling(M + 3, _at("q"), "scaling")
+
+
 def build_scaling_relation(bp: BalancedParams) -> ShiftOperator:
     """q T_{a_1}...T_{a_{M+3}} T_{b_1}...T_{b_{M+3}} - 1."""
-    return _scaling(bp.M + 3, lambda pt: pt["q"], "scaling")
+    return _scaling_shape(bp.M)
 
 
-def _hat_limit(M: int, qlambda, n: int, tail: bool, name: str) -> ShiftOperator:
+@_shape
+def _hat_limit_shape(M: int, n: int, tail: bool, name: str) -> ShiftOperator:
     """sum_{k=1}^{M+1} (-1)^k b_1^{n-k} [e_{k-1}(a_2..a_n) T^{-1} - q^{lambda+1}
-    e_{k-1}(b_2..b_n)] chain(M+1-k) Q(k-1), with the E_M-hat tail if asked."""
+    e_{k-1}(b_2..b_n)] chain(M+1-k) Q(k-1), with the E_M-hat tail if asked;
+    q^lambda is the constant _qlam."""
     an, bn = _names("a", n)[1:], _names("b", n)[1:]
-    qlam = complex(qlambda)
 
     def bracket(k):
-        return _esym(k - 1, an), lambda pt, _e=_esym(k - 1, bn): -qlam * pt["q"] * _e(pt)
+        return _esym(k - 1, an), lambda pt, _e=_esym(k - 1, bn): -pt["_qlam"] * pt["q"] * _e(pt)
 
     last = (lambda pt: math.prod(pt[v] for v in an)) if tail else None
     return _term_sum("b1", _AB, n, M + 1, range(1, M + 2), bracket, _ab_chain,
@@ -416,13 +525,13 @@ def _hat_limit(M: int, qlambda, n: int, tail: bool, name: str) -> ShiftOperator:
 def build_EM_hat_prime(M: int, qlambda) -> ShiftOperator:
     """First degeneration of E_M-hat: the a_{M+3} -> infinity limit of
     (1/a_{M+3}) E_M-hat on the lattice a_1..a_{M+2}, b_1..b_{M+2}."""
-    return _hat_limit(M, qlambda, M + 2, True, f"Ehat'_{M}")
+    return _bind(_hat_limit_shape(M, M + 2, True, f"Ehat'_{M}"), {"_qlam": complex(qlambda)})
 
 
 def build_EM_hat_dprime(M: int, qlambda) -> ShiftOperator:
     """Second degeneration: the a_{M+2} -> 0 limit of E'_M-hat divided by b_1,
     on the lattice a_1..a_{M+1}, b_1..b_{M+1}.  No trailing group survives."""
-    return _hat_limit(M, qlambda, M + 1, False, f"Ehat''_{M}")
+    return _bind(_hat_limit_shape(M, M + 1, False, f"Ehat''_{M}"), {"_qlam": complex(qlambda)})
 
 
 def _degene_relations(k: int, l: int) -> list:
@@ -440,27 +549,30 @@ def _degene_relations(k: int, l: int) -> list:
     ]
 
 
+@_shape
+def _degene_shapes(M: int) -> tuple:
+    """E''_M-hat, the two-index relations and the scaling of the degenerate
+    system, for the constant _qlam = q^lambda."""
+    ops = [_hat_limit_shape(M, M + 1, False, f"Ehat''_{M}")]
+    for k, l in itertools.permutations(range(2, M + 2), 2):
+        ops += _degene_relations(k, l)
+    ops.append(_scaling(M + 1, lambda pt: pt["_qlam"] * pt["q"], "degene-scaling"))
+    return tuple(ops)
+
+
 def build_degene_system(M: int, qlambda) -> list:
     """All members of the degenerate system on a_1..a_{M+1}, b_1..b_{M+1}.
 
     For M = 1 the two-index families are empty (no pair 2 <= k != l <= M+1),
     leaving the degenerate equation and the scaling relation.
     """
-    ops = [build_EM_hat_dprime(M, qlambda)]
-    for k, l in itertools.permutations(range(2, M + 2), 2):
-        ops += _degene_relations(k, l)
-    qlam = complex(qlambda)
-    ops.append(_scaling(M + 1, lambda pt: qlam * pt["q"], "degene-scaling"))
-    return ops
+    consts = {"_qlam": complex(qlambda)}
+    return [_bind(op, consts) for op in _degene_shapes(M)]
 
 
-def build_qal_system(M: int, p) -> list:
-    """The q-Appell-Lauricella system on x_1..x_M: M(M-1)/2 mixed relations
-    plus M principal ones.  p carries the constants A, B (per-variable), C."""
-    A, C = complex(p.A), complex(p.C)
-    Bs = [complex(b) for b in p.B]
-    if len(Bs) != M or len(p.x) != M:
-        raise DomainError("build_qal_system needs M entries in B and x")
+@_shape
+def _qal_shapes(M: int) -> tuple:
+    """The q-Appell-Lauricella relations for the constants _A, _B{i} and _C."""
     I = const_op(1.0)
     ops = []
     T_all = shift_op({f"x{i}": 1 for i in range(1, M + 1)})
@@ -469,23 +581,35 @@ def build_qal_system(M: int, p) -> list:
         return shift_op({f"x{i}": 1})
 
     def xc(i):
-        return const_op(lambda pt, _n=f"x{i}": pt[_n])
+        return const_op(_at(f"x{i}"))
+
+    def TB(i):
+        return op_scale(T(i), _at(f"_B{i}"))
 
     for i in range(1, M + 1):
         for j in range(i + 1, M + 1):
-            lhs = op_product([xc(i), op_sub(I, T(j)), op_sub(I, op_scale(T(i), Bs[i - 1]))])
-            rhs = op_product([xc(j), op_sub(I, T(i)), op_sub(I, op_scale(T(j), Bs[j - 1]))])
+            lhs = op_product([xc(i), op_sub(I, T(j)), op_sub(I, TB(i))])
+            rhs = op_product([xc(j), op_sub(I, T(i)), op_sub(I, TB(j))])
             ops.append(op_sub(lhs, rhs, name=f"qal1[{i},{j}]"))
     for i in range(1, M + 1):
         first = op_multiply(
             op_sub(I, T(i)),
-            op_add(I, op_scale(T_all, lambda pt: -C / pt["q"])),
+            op_add(I, op_scale(T_all, lambda pt: -pt["_C"] / pt["q"])),
         )
-        second = op_product(
-            [xc(i), op_sub(I, op_scale(T(i), Bs[i - 1])), op_sub(I, op_scale(T_all, A))]
-        )
+        second = op_product([xc(i), op_sub(I, TB(i)), op_sub(I, op_scale(T_all, _at("_A")))])
         ops.append(op_sub(first, second, name=f"qal2[{i}]"))
-    return ops
+    return tuple(ops)
+
+
+def build_qal_system(M: int, p) -> list:
+    """The q-Appell-Lauricella system on x_1..x_M: M(M-1)/2 mixed relations
+    plus M principal ones.  p carries the constants A, B (per-variable), C."""
+    Bs = [complex(b) for b in p.B]
+    if len(Bs) != M or len(p.x) != M:
+        raise DomainError("build_qal_system needs M entries in B and x")
+    consts = {"_A": complex(p.A), "_C": complex(p.C)}
+    consts.update((f"_B{i}", b) for i, b in enumerate(Bs, start=1))
+    return [_bind(op, consts) for op in _qal_shapes(M)]
 
 
 def independence_check(bp: BalancedParams, ctx: QContext) -> bool:

@@ -4,12 +4,18 @@ break every equality, and reruns are bit-for-bit deterministic."""
 
 import cmath
 import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import qhyper
 from qhyper import identities
 from qhyper.errors import QHyperError, SamplerExhausted
 from qhyper.identities import (
@@ -217,6 +223,26 @@ def test_run_suite_rerun_identical():
     reports2 = run_suite(["heine.m1", "phi.cocycle"], [0, 1], [1], CTX)
     assert [r.to_dict() for r in reports1] == [r.to_dict() for r in reports2]
     assert [r.rel_error for r in reports1] == [r.rel_error for r in reports2]
+
+
+# the cases whose checks evaluate builder-made operators
+OPERATOR_IDS = ("EM.constant", "EM.annihilate", "qrp.system", "qrp.kajihara_solution",
+                "degene.system", "degene.solutions", "degene.implies_qal", "qal.phiD",
+                "qal.solutions")
+
+
+def test_operator_reports_do_not_depend_on_earlier_checks():
+    """Operators are shared by lattice shape within a process: the operator
+    cases report the same in a fresh interpreter as after the whole catalog."""
+    code = ("import json, sys; from qhyper.identities import run_suite; "
+            "print(json.dumps([r.to_dict() for r in run_suite(sys.argv[1].split(','), [0], [1, 2])]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(qhyper.__file__).resolve().parents[1]))
+    fresh = subprocess.run([sys.executable, "-c", code, ",".join(OPERATOR_IDS)], env=env,
+                           capture_output=True, text=True, check=True, timeout=300)
+    run_suite(ALL_IDS, [0], [1, 2, 3], CTX)
+    after = [r.to_dict() for r in run_suite(OPERATOR_IDS, [0], [1, 2], CTX)]
+    assert len(after) == 18
+    assert json.loads(fresh.stdout) == json.loads(json.dumps(after))
 
 
 def test_cross_route_integral_vs_W():

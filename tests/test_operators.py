@@ -9,6 +9,7 @@ import pytest
 
 from qhyper.qcore import QContext, elem_sym, principal_power
 from qhyper.errors import DomainError, NonFinite
+from qhyper import operators
 from qhyper.jackson import (
     BalancedParams,
     JPParams,
@@ -915,9 +916,10 @@ def test_builders_match_old_builders(q):
             assert [t.shifts for t in new.terms] == [t.shifts for t in old.terms], new.name
             negated = new.name.startswith(("3term6", "degene6"))
             for pt in points:
+                bound = {**pt, **dict(new.consts)}  # the builder's constants, as op_apply adds them
                 for tn, to in zip(new.terms, old.terms):
                     ref = -to.coeff(pt) if negated else to.coeff(pt)
-                    assert _bits(tn.coeff(pt)) == _bits(ref), (new.name, tn.shifts)
+                    assert _bits(tn.coeff(bound)) == _bits(ref), (new.name, tn.shifts)
             f = _seeded_lattice_fn(seed, base)
             assert residual(new, f, offsets) == residual(old, f, offsets), new.name
             terms += len(new.terms)
@@ -951,3 +953,115 @@ def test_builder_length_errors():
         build_qal_system(3, p)
     with pytest.raises(DomainError):
         build_qal_system(2, QALParams(A=0.3, B=(0.6, 0.7), C=0.5, x=(0.3,)))
+
+
+def test_missing_parameter_raises_domain_error():
+    # an operator of shape M = 2 probing a function whose point has M = 1 parameters
+    rng = random.Random("missing")
+    bp = BalancedParams(a=tuple(rand_unit(rng) for _ in range(5)),
+                        b=tuple(rand_unit(rng) for _ in range(5)))
+    base = {"q": Q}
+    for n in range(1, 5):
+        base[f"a{n}"], base[f"b{n}"] = rand_unit(rng), rand_unit(rng)
+    f = _seeded_lattice_fn(0, base)
+    op = build_EM_hat(bp)
+    with pytest.raises(DomainError, match=r"Ehat_2: .* 'a5'"):
+        residual(op, f, [{}])
+    with pytest.raises(DomainError, match=r"Ehat_2: .* 'a5'"):
+        op_apply(op, f, {})
+    with pytest.raises(DomainError, match=r"scaling: .* 'a9'"):
+        residual(build_scaling_relation(bp), f, [{"a9": 1}])
+    with pytest.raises(DomainError, match=r"point_at: .* 'x'"):
+        point_at(base, {"x": 1})
+    # a shifted coefficient of a composed operator reads the missing parameter too
+    composed = op_multiply(shift_op({"a1": 1}), const_op(lambda pt: pt["a5"]), name="T a5")
+    with pytest.raises(DomainError, match=r"T a5: .* 'a5'"):
+        residual(composed, f, [{}])
+
+
+def _clear_shape_caches():
+    for obj in vars(operators).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def _constant_builders(rng, M):
+    """(name, build) for each builder that takes constants; build(c) returns
+    a list of operators for the draw c, and each call of draw() gives new c."""
+    def draw():
+        return {"A": rand_unit(rng), "B": rand_unit(rng), "qal": rand_unit(rng),
+                "a": [rand_unit(rng) for _ in range(M + 2)],
+                "b": [rand_unit(rng) for _ in range(M + 2)], "qlam": rand_unit(rng, 0.2, 0.9),
+                "qalp": QALParams(A=rand_unit(rng), B=tuple(rand_unit(rng) for _ in range(M)),
+                                  C=rand_unit(rng), x=(0.3,) * M)}
+
+    builders = [
+        ("build_EM", lambda c: [build_EM(M, c["A"], c["B"], c["a"], c["b"])]),
+        ("build_JP_general",
+         lambda c: [build_JP_general(M, c["qal"], c["A"], c["B"], c["a"], c["b"])]),
+        ("build_EM_hat_prime", lambda c: [build_EM_hat_prime(M, c["qlam"])]),
+        ("build_EM_hat_dprime", lambda c: [build_EM_hat_dprime(M, c["qlam"])]),
+        ("build_degene_system", lambda c: build_degene_system(M, c["qlam"])),
+        ("build_qal_system", lambda c: build_qal_system(M, c["qalp"])),
+    ]
+    return draw, builders
+
+
+def _evaluations(ops, f, offsets):
+    return [(_bits(op_apply(op, f, {})), residual(op, f, offsets)) for op in ops]
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_builder_shapes_bind_no_constant(M):
+    """A shape is built once and shared by every draw: evaluating op(c1) after
+    op(c2) was built and evaluated gives the bits op(c1) gives alone, and
+    op(c2) built on the shape cached by c1 gives the bits of op(c2) built on
+    a fresh shape."""
+    rng = random.Random(f"shapes:{M}")
+    draw, builders = _constant_builders(rng, M)
+    base = {"q": Q}
+    for n in range(1, M + 4):
+        base[f"a{n}"], base[f"b{n}"], base[f"x{n}"] = rand_unit(rng), rand_unit(rng), rand_unit(rng)
+    base["x"] = rand_unit(rng)
+    f = _seeded_lattice_fn(M, base)
+    offsets = [{}, {"x": 1, "a1": 1, "b1": 1, "x1": -1}]
+    try:
+        for name, build in builders:
+            c1, c2 = draw(), draw()
+            alone = []
+            for c in (c1, c2):
+                _clear_shape_caches()
+                alone.append(_evaluations(build(c), f, offsets))
+            assert alone[0] != alone[1], name
+            _clear_shape_caches()
+            ops1 = build(c1)
+            first = _evaluations(ops1, f, offsets)
+            ops2 = build(c2)
+            assert all(o2.terms is o1.terms for o1, o2 in zip(ops1, ops2)), name
+            assert _evaluations(ops2, f, offsets) == alone[1], name
+            assert _evaluations(ops1, f, offsets) == first == alone[0], name
+            assert all(o.terms is o1.terms for o, o1 in zip(build(c1), ops1)), name
+    finally:
+        _clear_shape_caches()
+
+
+def test_composition_keeps_each_operands_constants():
+    """Operands that bind one constant name to different values compose as
+    the same operators with their constants captured (the old builders)."""
+    rng = random.Random("compose")
+    M = 1
+    A1, B1, A2, B2 = (rand_unit(rng) for _ in range(4))
+    a1, b1, a2, b2 = ([rand_unit(rng) for _ in range(M + 2)] for _ in range(4))
+    new1, new2 = build_EM(M, A1, B1, a1, b1), build_EM(M, A2, B2, a2, b2)
+    old1, old2 = _old_build_EM(M, A1, B1, a1, b1), _old_build_EM(M, A2, B2, a2, b2)
+    f = _seeded_lattice_fn(7, {"q": Q, "x": rand_unit(rng)})
+    offsets = [{}, {"x": 2}]
+    pairs = [
+        (op_multiply(new1, new2), op_multiply(old1, old2)),
+        (op_multiply(new2, op_scale(new1, 0.5)), op_multiply(old2, op_scale(old1, 0.5))),
+        (op_add(new1, new2, new1), op_add(old1, old2, old1)),
+        (op_product([new1, shift_op({"x": 1}), new1]), op_product([old1, shift_op({"x": 1}), old1])),
+    ]
+    for new, old in pairs:
+        assert residual(new, f, offsets) == residual(old, f, offsets)
+        assert _bits(op_apply(new, f, {"x": 1})) == _bits(op_apply(old, f, {"x": 1}))
