@@ -3,16 +3,14 @@
 An operator is a sum of terms c(p) * T^s where s is an integer shift vector on
 named parameters and the coefficient c is evaluated at the *unshifted* point p
 (the shift applies to the function only).  Points are dicts name -> value that
-always carry the entry 'q'; a lattice offset n on parameter v means v q^n, and
-q itself is never shifted.  A coefficient is a callable of the point or a
-constant.
+always carry the entry 'q'; a lattice offset n (an int) on parameter v means
+v q^n, and q itself is never shifted.  A coefficient is a callable of the
+point or a constant.
 
-An operator may also carry numeric constants, pairs (name, value) whose names
-start with '_' (no lattice parameter does).  `op_apply` and `residual` add
-them to the point once per evaluation, so a coefficient reads them like
-parameters, and `op_add`, `op_scale` and `op_multiply` carry them into the
-result.  An operand that binds a name already bound to another value keeps
-its own constants, frozen into its coefficients.  A parameter or constant
+A builder's numeric constants have names that start with '_' (no lattice
+parameter does); each coefficient it returns reads them from the point it is
+evaluated at merged with the builder's own constants, so an operator holds
+its numbers and composing operators needs no rule for them.  A parameter
 missing from the point raises DomainError.
 
 LatticeFunction pairs a base point with an evaluator over integer offsets, so
@@ -23,9 +21,9 @@ Every builder is a function of its lattice shape only: M, plus kind, k and l
 for a three-term relation.  The symbolic work of a shape (its products of
 factors, sums and groupings) runs once per process, on first use, and is
 cached for up to 256 shapes per builder; the builder then binds the
-constants of its call (A, B, e_k(a), e_k(b), q^lambda, ...) to the cached
-terms.  A shape captures no constant, so every call of a builder returns the
-same terms object for one shape.
+constants of its call (A, B, e_k(a), e_k(b), q^lambda, ...) into the
+coefficients of the cached terms.  A shape captures no constant, so every
+call of a builder reads the same cached object for one shape.
 
 The builders share a few pieces:
 
@@ -91,16 +89,19 @@ class ShiftTerm:
 class ShiftOperator:
     terms: tuple
     name: str = ""
-    consts: tuple = ()  # ((name, value), ...) added to every point it is evaluated at
 
 
 def _shifts_tuple(shifts: dict) -> tuple:
     return tuple(sorted((k, v) for k, v in shifts.items() if v))
 
 
-def _no_q_shift(offsets: dict) -> None:
+def _check_shifts(offsets: dict) -> None:
+    """Shifts are int steps of lattice parameters; q itself is never shifted."""
     if "q" in offsets:
         raise DomainError("q itself is never shifted")
+    for k, n in offsets.items():
+        if type(n) is not int:
+            raise DomainError(f"the shift of {k!r} must be an int, not {n!r}")
 
 
 def _missing(exc: KeyError, where: str) -> DomainError:
@@ -111,15 +112,12 @@ def point_at(base: dict, offsets: dict) -> dict:
     return _point(base, offsets, "point_at")
 
 
-def _point(base: dict, offsets: dict, where: str, consts: tuple = ()) -> dict:
-    """base shifted by offsets, with the constants added."""
-    _no_q_shift(offsets)
+def _point(base: dict, offsets: dict, where: str) -> dict:
+    _check_shifts(offsets)
     try:
-        pt = _shift_point(base, _shifts_tuple(offsets))
+        return _shift_point(base, _shifts_tuple(offsets))
     except KeyError as exc:
         raise _missing(exc, where) from None
-    pt.update(consts)
-    return pt
 
 
 def _shift_point(pt: dict, shifts: tuple) -> dict:
@@ -143,32 +141,12 @@ def _coeff_fn(c) -> callable:
 
 
 def _bind(shape: ShiftOperator, consts: dict) -> ShiftOperator:
-    """A cached shape with the constants of one builder call."""
-    return ShiftOperator(terms=shape.terms, name=shape.name, consts=tuple(consts.items()))
-
-
-def _frozen(op: ShiftOperator) -> ShiftOperator:
-    """op with its constants read inside its coefficients instead of from the point."""
-    own = dict(op.consts)
+    """A cached shape whose coefficients read the point merged with consts."""
     terms = tuple(
-        ShiftTerm(coeff=lambda pt, _f=t.coeff: _f({**pt, **own}), shifts=t.shifts)
-        for t in op.terms
+        ShiftTerm(coeff=lambda pt, _f=t.coeff: _f({**pt, **consts}), shifts=t.shifts)
+        for t in shape.terms
     )
-    return ShiftOperator(terms=terms, name=op.name)
-
-
-def _joined(ops) -> tuple:
-    """(operands, constants) of a composition: the union of the operands'
-    constants, where an operand that binds a name already bound to another
-    value is frozen first."""
-    consts = {}
-    out = []
-    for op in ops:
-        if any(consts.get(k, v) is not v for k, v in op.consts):
-            op = _frozen(op)
-        consts.update(op.consts)
-        out.append(op)
-    return out, tuple(consts.items())
+    return ShiftOperator(terms=terms, name=shape.name)
 
 
 def const_op(c, name="") -> ShiftOperator:
@@ -176,17 +154,16 @@ def const_op(c, name="") -> ShiftOperator:
 
 
 def shift_op(shifts: dict, coeff=1.0, name="") -> ShiftOperator:
-    _no_q_shift(shifts)
+    _check_shifts(shifts)
     term = ShiftTerm(coeff=_coeff_fn(coeff), shifts=_shifts_tuple(shifts))
     return ShiftOperator(terms=(term,), name=name)
 
 
 def op_add(*ops, name="") -> ShiftOperator:
-    ops, consts = _joined(ops)
     terms = []
     for op in ops:
         terms.extend(op.terms)
-    return _normalize(ShiftOperator(terms=tuple(terms), name=name, consts=consts))
+    return _normalize(ShiftOperator(terms=tuple(terms), name=name))
 
 
 def op_scale(op: ShiftOperator, c, name="") -> ShiftOperator:
@@ -195,7 +172,7 @@ def op_scale(op: ShiftOperator, c, name="") -> ShiftOperator:
         ShiftTerm(coeff=lambda pt, _f=t.coeff: c(pt) * _f(pt), shifts=t.shifts)
         for t in op.terms
     )
-    return ShiftOperator(terms=terms, name=name or op.name, consts=op.consts)
+    return ShiftOperator(terms=terms, name=name or op.name)
 
 
 def op_sub(op1: ShiftOperator, op2: ShiftOperator, name="") -> ShiftOperator:
@@ -208,7 +185,6 @@ def op_multiply(op1: ShiftOperator, op2: ShiftOperator, name="") -> ShiftOperato
         (c1 T^{s1})(c2 T^{s2}) = c1 (c2 o T^{s1}) T^{s1+s2},
 
     where c2 o T^{s1} is c2 read at the point shifted by s1."""
-    (op1, op2), consts = _joined((op1, op2))
     terms = []
     for t1 in op1.terms:
         for t2 in op2.terms:
@@ -217,39 +193,28 @@ def op_multiply(op1: ShiftOperator, op2: ShiftOperator, name="") -> ShiftOperato
 
             merged = _merge(dict(t1.shifts), t2.shifts)
             terms.append(ShiftTerm(coeff=coeff, shifts=_shifts_tuple(merged)))
-    return _normalize(ShiftOperator(terms=tuple(terms), name=name, consts=consts))
+    return _normalize(ShiftOperator(terms=tuple(terms), name=name))
 
 
 def op_product(ops, name="") -> ShiftOperator:
-    out = const_op(1.0)
-    for op in ops:
-        out = op_multiply(out, op)
-    return ShiftOperator(terms=out.terms, name=name, consts=out.consts)
+    out = functools.reduce(op_multiply, ops, const_op(1.0))
+    return ShiftOperator(terms=out.terms, name=name)
 
 
 def _normalize(op: ShiftOperator) -> ShiftOperator:
-    groups = {}
-    order = []
+    groups = {}  # shifts -> coefficients, in order of first appearance
     for t in op.terms:
-        if t.shifts not in groups:
-            groups[t.shifts] = []
-            order.append(t.shifts)
-        groups[t.shifts].append(t.coeff)
+        groups.setdefault(t.shifts, []).append(t.coeff)
     terms = []
-    for s in order:
-        fns = groups[s]
-        if len(fns) == 1:
-            terms.append(ShiftTerm(coeff=fns[0], shifts=s))
-        else:
-            terms.append(
-                ShiftTerm(coeff=lambda pt, _fns=tuple(fns): sum(f(pt) for f in _fns), shifts=s)
-            )
-    return ShiftOperator(terms=tuple(terms), name=op.name, consts=op.consts)
+    for s, fns in groups.items():
+        coeff = fns[0] if len(fns) == 1 else lambda pt, _fns=tuple(fns): sum(f(pt) for f in _fns)
+        terms.append(ShiftTerm(coeff=coeff, shifts=s))
+    return ShiftOperator(terms=tuple(terms), name=op.name)
 
 
 def op_apply(op: ShiftOperator, f: LatticeFunction, offset: dict) -> complex:
     where = op.name or "operator"
-    pt = _point(f.base, offset, where, op.consts)
+    pt = _point(f.base, offset, where)
     total = 0.0 + 0.0j
     for t in op.terms:
         try:
@@ -271,7 +236,7 @@ def residual(op: ShiftOperator, f: LatticeFunction, offsets) -> tuple:
     raw = 0.0
     scale = 0.0
     for off in offsets:
-        pt = _point(f.base, off, where, op.consts)
+        pt = _point(f.base, off, where)
         val = 0.0 + 0.0j
         sc = 0.0
         for t in op.terms:
@@ -402,6 +367,8 @@ def build_EM(M: int, A, B, a, b) -> ShiftOperator:
     constants; the lattice variable is named 'x'.
     """
     _ab_lengths(M, a, b, "build_EM")
+    if B == 0:
+        raise DomainError("build_EM needs B != 0 (its last term carries prod(a) / B)")
     consts = _x_consts(A, B, a, b, range(1, M + 2))
     consts["_tail"] = complex(math.prod(a) / consts["_B"])
     return _bind(_em_shape(M), consts)

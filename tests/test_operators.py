@@ -916,10 +916,9 @@ def test_builders_match_old_builders(q):
             assert [t.shifts for t in new.terms] == [t.shifts for t in old.terms], new.name
             negated = new.name.startswith(("3term6", "degene6"))
             for pt in points:
-                bound = {**pt, **dict(new.consts)}  # the builder's constants, as op_apply adds them
                 for tn, to in zip(new.terms, old.terms):
                     ref = -to.coeff(pt) if negated else to.coeff(pt)
-                    assert _bits(tn.coeff(bound)) == _bits(ref), (new.name, tn.shifts)
+                    assert _bits(tn.coeff(pt)) == _bits(ref), (new.name, tn.shifts)
             f = _seeded_lattice_fn(seed, base)
             assert residual(new, f, offsets) == residual(old, f, offsets), new.name
             terms += len(new.terms)
@@ -936,6 +935,14 @@ def test_shift_op_and_point_at_reject_q_shifts():
     f = LatticeFunction(base={"q": Q, "x": 0.3}, eval=lambda off: 1.0)
     with pytest.raises(DomainError):
         op_apply(const_op(1.0), f, {"q": 1})
+    # a shift is an int step: no T^{1/2}, no point off the lattice, no True for 1
+    for n in (0.5, 1.0, True, False, np.int64(1), "1"):
+        with pytest.raises(DomainError, match="must be an int"):
+            shift_op({"x": n})
+        with pytest.raises(DomainError, match="must be an int"):
+            point_at({"q": Q, "x": 0.3}, {"x": n})
+        with pytest.raises(DomainError, match="must be an int"):
+            residual(shift_op({"x": 1}), f, [{"x": n}])
 
 
 def test_builder_length_errors():
@@ -944,6 +951,8 @@ def test_builder_length_errors():
         build_EM(2, 0.5, 0.6, a, b)  # M + 2 = 4 entries needed
     with pytest.raises(DomainError):
         build_EM(1, 0.5, 0.6, a, b[:2])
+    with pytest.raises(DomainError, match="build_EM needs B != 0"):
+        build_EM(1, 0.5, 0, a, b)  # its last term divides by B
     with pytest.raises(DomainError):
         build_JP_general(2, Q, 0.5, 0.6, a, b)
     with pytest.raises(DomainError):
@@ -979,15 +988,24 @@ def test_missing_parameter_raises_domain_error():
         residual(composed, f, [{}])
 
 
+def _shape_caches():
+    return [obj for obj in vars(operators).values() if hasattr(obj, "cache_clear")]
+
+
 def _clear_shape_caches():
-    for obj in vars(operators).values():
-        if hasattr(obj, "cache_clear"):
-            obj.cache_clear()
+    for cache in _shape_caches():
+        cache.cache_clear()
+
+
+def _shape_misses():
+    """Shapes built so far, over every cached shape function."""
+    return sum(cache.cache_info().misses for cache in _shape_caches())
 
 
 def _constant_builders(rng, M):
-    """(name, build) for each builder that takes constants; build(c) returns
-    a list of operators for the draw c, and each call of draw() gives new c."""
+    """(name, build, shape) for each builder that takes constants; build(c)
+    returns a list of operators for the draw c, each call of draw() gives new
+    c, and shape() is the cached shape the builder binds c into."""
     def draw():
         return {"A": rand_unit(rng), "B": rand_unit(rng), "qal": rand_unit(rng),
                 "a": [rand_unit(rng) for _ in range(M + 2)],
@@ -996,13 +1014,19 @@ def _constant_builders(rng, M):
                                   C=rand_unit(rng), x=(0.3,) * M)}
 
     builders = [
-        ("build_EM", lambda c: [build_EM(M, c["A"], c["B"], c["a"], c["b"])]),
+        ("build_EM", lambda c: [build_EM(M, c["A"], c["B"], c["a"], c["b"])],
+         lambda: operators._em_shape(M)),
         ("build_JP_general",
-         lambda c: [build_JP_general(M, c["qal"], c["A"], c["B"], c["a"], c["b"])]),
-        ("build_EM_hat_prime", lambda c: [build_EM_hat_prime(M, c["qlam"])]),
-        ("build_EM_hat_dprime", lambda c: [build_EM_hat_dprime(M, c["qlam"])]),
-        ("build_degene_system", lambda c: build_degene_system(M, c["qlam"])),
-        ("build_qal_system", lambda c: build_qal_system(M, c["qalp"])),
+         lambda c: [build_JP_general(M, c["qal"], c["A"], c["B"], c["a"], c["b"])],
+         lambda: operators._jp_shape(M)),
+        ("build_EM_hat_prime", lambda c: [build_EM_hat_prime(M, c["qlam"])],
+         lambda: operators._hat_limit_shape(M, M + 2, True, f"Ehat'_{M}")),
+        ("build_EM_hat_dprime", lambda c: [build_EM_hat_dprime(M, c["qlam"])],
+         lambda: operators._hat_limit_shape(M, M + 1, False, f"Ehat''_{M}")),
+        ("build_degene_system", lambda c: build_degene_system(M, c["qlam"]),
+         lambda: operators._degene_shapes(M)),
+        ("build_qal_system", lambda c: build_qal_system(M, c["qalp"]),
+         lambda: operators._qal_shapes(M)),
     ]
     return draw, builders
 
@@ -1013,10 +1037,11 @@ def _evaluations(ops, f, offsets):
 
 @pytest.mark.parametrize("M", [1, 2])
 def test_builder_shapes_bind_no_constant(M):
-    """A shape is built once and shared by every draw: evaluating op(c1) after
-    op(c2) was built and evaluated gives the bits op(c1) gives alone, and
-    op(c2) built on the shape cached by c1 gives the bits of op(c2) built on
-    a fresh shape."""
+    """A shape is built once and shared by every draw: the shape function
+    returns one cached object per shape, a later draw builds no shape,
+    evaluating op(c1) after op(c2) was built and evaluated gives the bits
+    op(c1) gives alone, and op(c2) built on the shape cached by c1 gives the
+    bits of op(c2) built on a fresh shape."""
     rng = random.Random(f"shapes:{M}")
     draw, builders = _constant_builders(rng, M)
     base = {"q": Q}
@@ -1026,7 +1051,7 @@ def test_builder_shapes_bind_no_constant(M):
     f = _seeded_lattice_fn(M, base)
     offsets = [{}, {"x": 1, "a1": 1, "b1": 1, "x1": -1}]
     try:
-        for name, build in builders:
+        for name, build, shape in builders:
             c1, c2 = draw(), draw()
             alone = []
             for c in (c1, c2):
@@ -1035,12 +1060,14 @@ def test_builder_shapes_bind_no_constant(M):
             assert alone[0] != alone[1], name
             _clear_shape_caches()
             ops1 = build(c1)
+            cached, built = shape(), _shape_misses()
             first = _evaluations(ops1, f, offsets)
             ops2 = build(c2)
-            assert all(o2.terms is o1.terms for o1, o2 in zip(ops1, ops2)), name
+            assert shape() is cached and _shape_misses() == built, name
             assert _evaluations(ops2, f, offsets) == alone[1], name
             assert _evaluations(ops1, f, offsets) == first == alone[0], name
-            assert all(o.terms is o1.terms for o, o1 in zip(build(c1), ops1)), name
+            build(c1)
+            assert shape() is cached and _shape_misses() == built, name
     finally:
         _clear_shape_caches()
 
