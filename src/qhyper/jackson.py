@@ -27,11 +27,7 @@ step factor comes within 1/2 of zero or the kernel may need more than its
 factor cap, and wherever a stepped value would overdraw the rounding budget
 _STEP_BUDGET; so every exact zero, pole, NoConvergence and NaN is still
 decided by the direct evaluation.  Any other callable is evaluated at every
-point.  On the n >= 0 side the exact lattice zeros of a ``_Ratio`` come
-first (a numerator factor that vanishes at t q vanishes one index higher at
-t) and end within infinite_product_cutoff + 1 points; the walk counts none
-of them as negligible, so a sum that starts on stall_window zeros is not
-taken for 0.
+point.
 
 Two ends of a walk need no per-point work:
 
@@ -46,8 +42,9 @@ Two ends of a walk need no per-point work:
   a factor 1 - c t q^j within the kernel's snap of zero at t has the same
   factor 1 - c (t / q) q^(j + 1) at t / q: once the kernel returns an exact 0,
   every later point is a zero of that row, found before any later row (rows
-  are settled in order) and before any row's cap while |t| < reach.  The half
-  ends at its first zero, with the total the stall rule would return.
+  are settled in order) and before any row's cap while |t| < reach.  At a
+  nonzero total the half ends at its first zero, with the total the stall
+  rule would return.
 
 The budget: a term stepped m times since the last direct evaluation carries
 about m (K + 1) eps of rounding for the K products of its integrand.  Each
@@ -72,7 +69,7 @@ from .qcore import QContext, principal_power, q_exponent
 # private names: the products and the stall rule are part of this layer's
 # per-point work, and per-layer tracing wraps only the public names one module
 # imports from another
-from .qcore import _TAIL, _lattice_index, _ratio, _stall_block, _stall_step
+from .qcore import _TAIL, _lattice_index, _ratio, _stall_block, _stall_floor, _stall_step
 
 
 @dataclass(frozen=True)
@@ -200,7 +197,7 @@ def _tail(f, t, w, wstep, val, m, total, mass, drift, stall, n, room, at):
     ctx = f.ctx
     k = ctx.stall_window
     size, rate = abs(val * w), abs(wstep)
-    floor = ctx.rel_tol * max(1.0, abs(total))
+    floor = _stall_floor(total, ctx)
     if floor < size < math.inf and 0 < rate < 1:
         k += 2 + math.ceil(1.25 * math.log(size / floor) / -math.log(rate))
     k = min(k, room)
@@ -251,8 +248,8 @@ def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
     rounding budget allows: with m the steps since the last direct evaluation
     and S = sum |term| so far, the sum keeps D = sum m |term| <=
     _STEP_BUDGET S (see the module docstring for the points evaluated
-    directly, the numpy tail, the leading zeros and the terminated n < 0
-    half); anything else is called at every point.
+    directly, the numpy tail and the terminated n < 0 half); anything else
+    is called at every point.
     """
     cap = 4 * ctx.infinite_product_cutoff
     at = f"point {{}} of {where}"  # where a non-finite total is reported
@@ -261,7 +258,6 @@ def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
     stepped = isinstance(f, _Ratio) and f.ctx.q == q
     if stepped:
         up, down = (f.num, f.den) if divide else (f.den, f.num)
-    lead = stepped and not divide
     val = None  # f(t), when the previous point stepped to it
     m = 0  # steps since the last direct evaluation
     mass = drift = 0.0  # S = sum |term| and D = sum m |term|
@@ -270,7 +266,7 @@ def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
         if val is None:
             val = complex(f(t))
             m = 0
-        if lead and val != 0 and abs(t) <= f.tail_from and abs(t) < f.reach:
+        if stepped and not divide and val != 0 and abs(t) <= f.tail_from and abs(t) < f.reach:
             total, state = _tail(f, t, w, wstep, val, m, total, mass, drift, stall, n, cap - n,
                                  at)
             if state is None:
@@ -281,18 +277,16 @@ def _lattice_sum(t, w, wstep, f, ctx: QContext, total, where, divide=False):
         total, size, stall = _stall_step(val * w, total, stall, ctx, at, n)
         mass += size
         drift += m * size
-        if lead and val == 0:  # a leading zero: never negligible (module docstring)
-            stall = 0
-        elif stall >= ctx.stall_window:
+        if stall >= ctx.stall_window:
             return total
         n += 1
         if divide and m == 0 and val == 0 and stepped:
             # a numerator row's lattice zero: at each later point of the n < 0
             # half it is the same factor one column on, and below reach no
-            # row can raise first, so the half is complete
+            # row can raise first, so at a nonzero total it stalls on them
             rest = ctx.stall_window - stall
             last = t / q ** rest, w / wstep ** rest
-            if n + rest <= cap and abs(last[0]) < f.reach and cmath.isfinite(last[1]):
+            if total and n + rest <= cap and abs(last[0]) < f.reach and cmath.isfinite(last[1]):
                 return total
         m += 1
         if divide:
@@ -365,13 +359,14 @@ def rp_integral(bp: BalancedParams, i: int, j: int, ctx: QContext) -> complex:
     return jackson_between(ctx.q / bp.a[i - 1], ctx.q / bp.a[j - 1], psi, ctx)
 
 
-def jp_integral(p: JPParams, x, ctx: QContext, tau_power=None) -> complex:
+def jp_integral(p: JPParams, x, ctx: QContext) -> complex:
     """Bilateral integral int_0^{tau inf} t^(alpha-1) (Axt)/(Bxt) prod (a_i t)/(b_i t) d_q t,
     each (..) an infinite q-factorial.
 
     The measure contributes one more power of t, so the lattice weight at
-    t = tau q^n is tau^alpha q^(n alpha) = (tau * tau_power) * alpha_power^n —
-    one fractional base value, then exact integer powers of q^alpha.
+    t = tau q^n is tau^alpha q^(n alpha) = tau^alpha alpha_power^n: one
+    fractional base value on the principal branch, then exact integer powers
+    of q^alpha.
     """
     if abs(p.alpha_power) >= 1:
         raise DomainError("jp_integral needs |q^alpha| < 1")
@@ -386,13 +381,10 @@ def jp_integral(p: JPParams, x, ctx: QContext, tau_power=None) -> complex:
     tau = complex(p.tau)
     if tau == 0:
         raise DomainError("jp_integral needs tau != 0")
-    if tau_power is None:
-        alpha = q_exponent(p.alpha_power, ctx)
-        tau_power = principal_power(tau, alpha - 1)
 
     F = _Ratio((p.A * x,) + tuple(complex(v) for v in p.a),
                (p.B * x,) + tuple(complex(v) for v in p.b), ctx)
-    w = tau * tau_power
+    w = tau * principal_power(tau, q_exponent(p.alpha_power, ctx) - 1)  # tau^alpha
     return _bilateral_sum(tau, w, p.alpha_power, F, ctx, "jp_integral")
 
 

@@ -6,11 +6,13 @@ package shares, so numerical policy lives in one place.
 
 Every infinite sum of the package (the shell sums of series and the lattice
 sums of jackson) is truncated by one stall rule: a term is negligible when
-|term| <= rel_tol * max(1, |running total|); the sum stops at the end of the
-first run of stall_window negligible terms; and a non-finite running total
-raises NonFinite.  ``_stall_block`` applies it to a numpy block of terms,
-carrying the total and the open run from block to block, and ``_stall_step``
-to one term; both stop at the same term with the same total.
+the running total after it is nonzero and |term| <= ``_stall_floor``, that is
+rel_tol * max(1, |running total|); the sum stops at the end of the first run
+of stall_window negligible terms; and a non-finite running total raises
+NonFinite.  So zeros that lead a sum never stop it at 0, and a sum that stays
+exactly 0 never stalls.  ``_stall_block`` applies the rule to a numpy block of
+terms, carrying the total and the open run from block to block, and
+``_stall_step`` to one term; both stop at the same term with the same total.
 
 Every (a; q)_inf factor is formed by one kernel, ``qpoch_ratio``: a product
 or ratio of products (every Jackson integrand and every prefactor) is one
@@ -72,6 +74,11 @@ class QContext:
             raise DomainError("stall_window must be positive")
 
 
+def _stall_floor(total, ctx: QContext):
+    """The size up to which a term is negligible after a nonzero running total."""
+    return ctx.rel_tol * max(1.0, abs(total))
+
+
 def _stall_block(terms, total, run, ctx: QContext, where, start):
     """The stall rule over a numpy block of terms, after a running total and
     a run of negligible terms carried in: (n, total, size, run), the n terms
@@ -89,7 +96,8 @@ def _stall_block(terms, total, run, ctx: QContext, where, start):
         totals[0] += total
         np.add.accumulate(totals, out=totals)
         sizes = np.hypot(terms.real, terms.imag)
-        small = sizes <= ctx.rel_tol * np.maximum(1.0, np.hypot(totals.real, totals.imag))
+        floor = ctx.rel_tol * np.maximum(1.0, np.hypot(totals.real, totals.imag))
+        small = (sizes <= floor) & (totals != 0)  # _stall_floor, at nonzero totals
     # one byte per term, 1 where it is negligible, after the run carried in
     flags = b"\x01" * run + small.tobytes()
     hit = flags.find(b"\x01" * window)
@@ -109,7 +117,7 @@ def _stall_step(term, total, run, ctx: QContext, where, n):
     if not cmath.isfinite(total):
         raise NonFinite(f"non-finite partial sum at {where.format(n)}")
     size = abs(term)
-    return total, size, run + 1 if size <= ctx.rel_tol * max(1.0, abs(total)) else 0
+    return total, size, run + 1 if total and size <= _stall_floor(total, ctx) else 0
 
 
 def _lattice_index(x, ctx: QContext, lo, hi, tol):

@@ -36,7 +36,7 @@ from .errors import DomainError, NoConvergence, NonFinite, TermEvaluationError
 from .qcore import QContext, principal_power, q_exponent, qpoch_ratio
 # private, so that per-layer tracing (which wraps the public names one module
 # imports from another) counts the stall rule and lattice test as this layer's work
-from .qcore import _lattice_index, _stall_block
+from .qcore import _SNAP, _lattice_index, _stall_block
 
 # A block of shells holds at least this many terms; the target doubles from
 # block to block up to the maximum, so short sums take one block and deep sums
@@ -220,8 +220,8 @@ def _compositions(M, s):
 
 def terminating_order(a, ctx: QContext, nmax=None):
     """Smallest n in [0, nmax] (default ctx.series_shell_cap) with a = q^{-n}
-    by qcore's lattice test with tolerance 1e-12, or None."""
-    return _lattice_index(a, ctx, 0, ctx.series_shell_cap if nmax is None else nmax, 1e-12)
+    by qcore's lattice test within the kernel's exact-zero snap _SNAP, or None."""
+    return _lattice_index(a, ctx, 0, ctx.series_shell_cap if nmax is None else nmax, _SNAP)
 
 
 def sum_shells(term, M: int, ctx: QContext, shell_cap=None, exact=False) -> SeriesResult:
@@ -460,6 +460,8 @@ def bilateral_psi(upper, lower, z, ctx: QContext) -> SeriesResult:
         # (q/d)_m vanishes for every m >= 1
         rn = SeriesResult(0.0 + 0.0j, 0, True, 0.0)
     else:
+        if 0 in upper + lower:
+            raise DomainError("bilateral_psi's negative side needs every parameter nonzero")
         w = 1.0 + 0.0j
         for c, d in zip(upper, lower):
             w *= d / c

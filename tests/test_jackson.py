@@ -806,6 +806,11 @@ def test_sum_starting_on_stall_window_zeros():
     # from q / a_1, where a_3 q / a_1 = q^-2 (mpmath at 30 digits)
     bp = BalancedParams(a=(0.45, 0.3, 3.6, 0.25), b=(0.2, 0.33, 0.75, 9.818181818181818))
     assert abs(rp_integral(bp, 2, 1, CTX) - 0.5252374104837152) <= 1e-13
+    # any callable: zero at t = 1, 1/2, 1/4, then t^2 (the sum is 1/96)
+    assert abs(jackson_0_to(1.0, lambda t: 0.0 if abs(t) > 0.2 else t, CTX) - 1 / 96) <= 1e-13
+    # a sum that stays 0 never stalls
+    with pytest.raises(NoConvergence):
+        jackson_0_to(1.0, lambda t: 0.0, CTX)
 
 
 def _long_lattices(q):
@@ -952,6 +957,10 @@ def test_terminated_negative_half_makes_one_kernel_call():
     val = jackson_bilateral(tau, spy, ctx)
     assert abs(val - ref) <= 2e-14 * sum(map(abs, terms))
     assert [t for t in spy.seen if abs(t) > abs(tau)] == [tau / ctx.q]
+    # after a zero total, zeros are not negligible: the half walks on to the
+    # first kernel that needs more than its factor cap, as the rule would
+    with pytest.raises(NoConvergence, match="factors"):
+        jackson._lattice_sum(tau / ctx.q, 1.0, ctx.q, spy, ctx, 0j, "n < 0", divide=True)
 
 
 # ------------------------------------------------------ mpmath shadow

@@ -476,4 +476,6 @@ def test_stall_block_and_step_agree():
             else:
                 seen.add("stop" if ref[3] >= window else "end")
                 seen.update(["carried"] if carried else [])
-    assert seen == {"NonFinite", "overflow", "stop", "end", "carried"}
+            # stall_window exact zeros first: never negligible at a zero total
+            seen.update(["zero-led"] if not any(terms[:window]) else [])
+    assert seen == {"NonFinite", "overflow", "stop", "end", "carried", "zero-led"}

@@ -93,16 +93,19 @@ def test_sum_shells_nonfinite():
 
 
 def test_sum_shells_no_convergence_flag():
-    res = sum_shells(lambda l: 1.0, 1, CTX, shell_cap=20)
-    assert not res.converged
-    assert res.shells_used == 21
+    # a sum that stays exactly 0 never stalls, as one whose shells never shrink
+    for term in (lambda l: 1.0, lambda l: 0.0):
+        res = sum_shells(term, 1, CTX, shell_cap=20)
+        assert not res.converged
+        assert res.shells_used == 21
 
 
 def _per_shell_sum(term, M, ctx, shell_cap=None, exact=False):
     """Reference for sum_shells: the stall rule one shell at a time, fed the
-    same shell sums one by one.  A block that raises at shell k yields shells
-    0..k-1 first, so the flattened stream raises exactly where a per-shell
-    generator would."""
+    same shell sums one by one, a shell negligible only after a nonzero
+    partial sum.  A block that raises at shell k yields shells 0..k-1 first,
+    so the flattened stream raises exactly where a per-shell generator
+    would."""
     cap = ctx.series_shell_cap if shell_cap is None else shell_cap
     if isinstance(term, ShellSpec):
         blocks = series._spec_shells(term, M, ctx.q, cap)
@@ -120,7 +123,7 @@ def _per_shell_sum(term, M, ctx, shell_cap=None, exact=False):
             raise NonFinite(f"non-finite partial sum at shell {s}")
         last_mag = abs(shell)
         used = s + 1
-        if last_mag <= ctx.rel_tol * max(1.0, abs(partial)):
+        if partial and last_mag <= ctx.rel_tol * max(1.0, abs(partial)):
             stall += 1
             if stall >= ctx.stall_window:
                 converged = True
@@ -236,6 +239,15 @@ def test_block_stall_rule_edge_cases():
         assert kind is exc and msg in message
     for term, exc in ((lambda l: 1e308, NonFinite), (lambda l: 1 / (3 - l[0]), TermEvaluationError)):
         assert _same_as_per_shell(term, 1, CTX)[0] is exc
+
+    # shells that start on stall_window zeros do not stop the sum at 0, and
+    # a sum that stays 0 runs to its cap
+    def lead(l):
+        return 0.0 if l[0] < 3 else 0.5 ** l[0]
+
+    assert _same_as_per_shell(lead, 1, CTX)[5]
+    assert abs(sum_shells(lead, 1, CTX).value - 0.25) <= 1e-13
+    assert _same_as_per_shell(lambda l: 0.0, 1, CTX, shell_cap=20)[4:6] == (21, False)
 
 
 _SCHEDULE_QS = [0.5, 0.7, -0.5, 0.6 * cmath.exp(0.5j), 0.3 + 0.6j]
@@ -456,6 +468,10 @@ def test_bilateral_annulus_enforced():
         bilateral_psi([0.8], [0.3], 0.2, CTX)  # |b/a| = 0.375 > |z|
     with pytest.raises(DomainError):
         bilateral_psi([0.8], [0.3], 1.1, CTX)
+    # the negative side's rewrite divides by every parameter
+    for upper, lower in (([0.3], [0.0]), ([0.0], [0.3])):
+        with pytest.raises(DomainError):
+            bilateral_psi(upper, lower, 0.4, CTX)
 
 
 def test_bilateral_one_sided_when_lower_is_q():
